@@ -50,7 +50,10 @@ from .stallings import instance_for, z_subgroup_membership
 class ActionEngine:
     """See the module docstring.  ``visited_index`` (transitive mode) maps
     each visited vertex to its authoritative path position and is the
-    realization of f⁻¹."""
+    realization of f⁻¹.  It is filled from the seed stage whole and from
+    each later stage's two new segments only: every later stage comes
+    through the extension validator, which checks that it restricts to
+    the previous stage exactly, so old positions keep their vertices."""
 
     def __init__(
         self,
@@ -147,13 +150,19 @@ class ActionEngine:
             seq.pop()
         return None
 
-    def _record(self, path: ThreePath) -> None:
-        for pos in path.domain:
+    def _record(self, path: ThreePath, prev: ThreePath | None) -> None:
+        # Old positions are not re-walked: extend_to_visit only returns a
+        # stage that restricts to ``prev`` exactly.
+        if prev is None:
+            new = path.domain
+        else:
+            new = itertools.chain(range(path.lo, prev.lo), range(prev.hi + 1, path.hi + 1))
+        for pos in new:
             v = path.at(pos)
-            prev = self.visited_index.setdefault(v, pos)
-            if prev != pos:
+            recorded = self.visited_index.setdefault(v, pos)
+            if recorded != pos:
                 raise InvariantError(
-                    f"vertex {v} moved from position {prev} to {pos}; stages must nest"
+                    f"vertex {v} moved from position {recorded} to {pos}; stages must nest"
                 )
 
     def build_stage(self, i: int) -> ThreePath:
@@ -161,7 +170,8 @@ class ActionEngine:
         if self.mode != "transitive":
             raise ConfigError("stages exist only in transitive mode")
         while len(self._stages) <= i:
-            if not self._stages:
+            prev = self._stages[-1].path if self._stages else None
+            if prev is None:
                 st = (
                     self._seed_one_ended()
                     if self.dec.mode == "one"
@@ -171,7 +181,7 @@ class ActionEngine:
                 target = len(self._stages)
                 st = extend_to_visit(self.graph, self.dec, self._stages[-1], target)
             self._stages.append(st)
-            self._record(st.path)
+            self._record(st.path, prev)
         return self._stages[i].path
 
     @property

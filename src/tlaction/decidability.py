@@ -85,7 +85,7 @@ class _UnionFind:
 def _boundary_vertices(graph, deleted: frozenset[int]) -> list[int]:
     """V0: complement vertices adjacent to the deleted set, sorted."""
     out: set[int] = set()
-    for v in sorted(deleted):
+    for v in deleted:
         for u in graph.neighbors(v):
             if u not in deleted:
                 out.add(u)

@@ -23,7 +23,7 @@ from typing import Iterable, Iterator
 
 from .decidability import EndsDecider, right_witness, witness_pair
 from .errors import InvariantError
-from .graph import FinitePatch, distance, induced_patch, shortest_path
+from .graph import distance, induced_patch, shortest_path
 from .paths import ThreePath, check_jumps, extend_path, karaganis_path
 
 
@@ -33,16 +33,14 @@ class ExtensibleState:
 
     ``witness_end`` is an unvisited vertex within distance 3 of the last
     path vertex; ``witness_start`` likewise for the first vertex (``None``
-    for a state that is only right-extensible).  ``window`` is a finite
-    patch containing the path image and a one-step frontier margin.  The
-    complement certificate itself is not stored: it was checked by the
-    decider when the state was built.
+    for a state that is only right-extensible).  The complement
+    certificate itself is not stored: it was checked by the decider when
+    the state was built.
     """
 
     path: ThreePath
     witness_end: int
     witness_start: int | None
-    window: FinitePatch
 
     def __post_init__(self) -> None:
         image = self.path.image
@@ -57,13 +55,6 @@ class ExtensibleState:
     @property
     def bi_extensible(self) -> bool:
         return self.witness_start is not None
-
-
-def _margin_window(graph, image: Iterable[int], extra: Iterable[int] = ()) -> FinitePatch:
-    verts = set(image) | set(extra)
-    for v in list(verts):
-        verts.update(graph.neighbors(v))
-    return induced_patch(graph, verts)
 
 
 def _adjacent_to(graph, component: Iterable[int], region: set[int] | frozenset[int]) -> bool:
@@ -144,7 +135,6 @@ def state_from_path(
         path=path,
         witness_end=we,
         witness_start=ws,
-        window=_margin_window(graph, path.image, (ws, we)),
     )
 
 
@@ -172,7 +162,6 @@ def make_right_extensible(graph, dec: EndsDecider, u: int, v: int) -> Extensible
         path=path,
         witness_end=witness,
         witness_start=None,
-        window=_margin_window(graph, region, (witness,)),
     )
 
 
@@ -212,7 +201,6 @@ def make_bi_extensible(graph, dec: EndsDecider, w: int) -> ExtensibleState:
         path=path,
         witness_end=we,
         witness_start=ws,
-        window=_margin_window(graph, region, (ws, we)),
     )
 
 
@@ -256,7 +244,6 @@ def _validate_candidate(
         path=new,
         witness_end=we,
         witness_start=ws,
-        window=_margin_window(graph, new.image, (ws, we)),
     )
 
 
@@ -298,7 +285,7 @@ def _try_split(
     )
     for i in range(len(walk) - 1):
         w1, w2 = walk[i], walk[i + 1]
-        if patch.distance(w1, w2, cap=2) is None:
+        if distance(patch, w1, w2, cap=2) is None:
             continue
         if not (outside(w1) or outside(w2)):
             continue

@@ -114,14 +114,6 @@ class CayleyGraph:
         return word_to_str(self.numbering.to_word(v), self.oracle.generator_names)
 
 
-def cayley_graph(
-    oracle: GroupOracle,
-    numbering: Numbering | None = None,
-    fuel: Fuel | None = None,
-) -> CayleyGraph:
-    return CayleyGraph(oracle, numbering, fuel)
-
-
 def cayley_oracle(
     oracle: GroupOracle,
     numbering: Numbering | None = None,
@@ -295,49 +287,6 @@ class FinitePatch:
     def adjacent(self, u: int, v: int) -> bool:
         return v in self._adj[u]
 
-    def distance(self, u: int, v: int, cap: int | None = None) -> int | None:
-        """Distance inside the patch; None when unreachable (or beyond ``cap``)."""
-        if u == v:
-            return 0
-        adj = self._adj
-        seen = {u}
-        frontier = [u]
-        d = 0
-        while frontier:
-            d += 1
-            if cap is not None and d > cap:
-                return None
-            nxt: list[int] = []
-            for w in frontier:
-                for x in adj[w]:
-                    if x == v:
-                        return d
-                    if x not in seen:
-                        seen.add(x)
-                        nxt.append(x)
-            frontier = nxt
-        return None
-
-    def components(self) -> tuple[tuple[int, ...], ...]:
-        adj = self._adj
-        todo = set(self.vertices)
-        comps: list[tuple[int, ...]] = []
-        while todo:
-            seed = min(todo)
-            comp = {seed}
-            stack = [seed]
-            todo.discard(seed)
-            while stack:
-                v = stack.pop()
-                for u in adj[v]:
-                    if u in todo:
-                        todo.discard(u)
-                        comp.add(u)
-                        stack.append(u)
-            comps.append(tuple(sorted(comp)))
-        comps.sort(key=lambda c: c[0])
-        return tuple(comps)
-
     def induced(self, subset: Iterable[int]) -> "FinitePatch":
         keep = set(subset)
         missing = keep - set(self.vertices)
@@ -364,9 +313,7 @@ def components(patch: FinitePatch, deleted: Iterable[int] = ()) -> tuple[tuple[i
     extra = gone - set(patch.vertices)
     if extra:
         raise InvariantError(f"deleted vertices not in patch: {sorted(extra)}")
-    if not gone:
-        return patch.components()
-    return patch.induced(set(patch.vertices) - gone).components()
+    return components_of(patch, set(patch.vertices) - gone)
 
 
 def induced_patch(graph, vertices: Iterable[int]) -> FinitePatch:

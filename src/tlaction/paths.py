@@ -200,7 +200,7 @@ def karaganis_path(patch: FinitePatch, u: int, v: int) -> tuple[int, ...]:
         return (u,)
     if u == v:
         raise InvariantError("distinct endpoints required in a multi-vertex patch")
-    if len(patch.components()) != 1:
+    if len(components_of(patch, patch.vertices)) != 1:
         raise InvariantError("patch must be connected")
 
     out: list[int] = []
@@ -267,7 +267,7 @@ def _check_constrained(patch: FinitePatch, seq: tuple[int, ...], u: int, v: int)
         raise InvariantError("sequence is not a Hamiltonian ordering of the patch")
     if seq[0] != u or seq[-1] != v:
         raise InvariantError("sequence endpoints do not match the request")
-    jumps = [patch.distance(seq[k], seq[k + 1], cap=4) for k in range(len(seq) - 1)]
+    jumps = [distance(patch, seq[k], seq[k + 1], cap=4) for k in range(len(seq) - 1)]
     for k, d in enumerate(jumps):
         if d is None or d > 3:
             raise InvariantError(f"jump {k} of the Hamiltonian sequence exceeds 3")

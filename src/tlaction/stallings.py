@@ -15,9 +15,7 @@ input hypothesis, never derived from the normal-form routine itself.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Iterator
 
 from .errors import ConfigError, Fuel, InvariantError, default_fuel
@@ -29,7 +27,6 @@ from .groups import (
     canonical_numbering,
     concat_words,
     inverse_word,
-    word_from_str,
     word_to_str,
 )
 
@@ -550,85 +547,3 @@ def instance_for(name: str) -> ZSubgroupInstance:
             f"available: {sorted(_INSTANCES)}"
         )
     return factory()
-
-
-# ---------------------------------------------------------------------------
-# JSON configuration
-# ---------------------------------------------------------------------------
-
-
-def _words_from_json(oracle: GroupOracle, items: list[str]) -> tuple[Word, ...]:
-    return tuple(word_from_str(s, oracle.generator_names) for s in items)
-
-
-def extension_data_from_config(config: dict | str | Path):
-    """Build HnnData or AmalgamData from a JSON object (or a path to one).
-
-    Shape: {"kind": "hnn"|"amalgam", group names for base/left/right and
-    extension (built-in names), subgroup elements as word strings, the iso
-    as word-string pairs, letter maps as generator-name pairs, and for HNN
-    the stable letter's generator name.}
-    """
-    if isinstance(config, (str, Path)):
-        config = json.loads(Path(config).read_text())
-    if not isinstance(config, dict):
-        raise ConfigError("extension config must be a JSON object")
-    kind = config.get("kind")
-
-    def oracle_of(key: str) -> GroupOracle:
-        entry = config.get(key)
-        if isinstance(entry, dict) and entry.get("cyclic"):
-            return cyclic_group(int(entry["cyclic"]), entry.get("generator", "a"))
-        if isinstance(entry, str):
-            return builtin_group(entry)
-        raise ConfigError(f"config field {key!r} must name a group")
-
-    def letter_map(key: str, src: GroupOracle, dst: GroupOracle) -> dict[int, int]:
-        raw = config.get(key)
-        if not isinstance(raw, dict):
-            raise ConfigError(f"config field {key!r} must map generator names")
-        out = {}
-        for a, b in raw.items():
-            if a not in src.generator_names or b not in dst.generator_names:
-                raise ConfigError(f"unknown generator in letter map {key!r}")
-            out[src.generator_names.index(a) + 1] = dst.generator_names.index(b) + 1
-        return out
-
-    if kind == "hnn":
-        base = oracle_of("base")
-        ext = oracle_of("extension")
-        stable = config.get("stable_letter")
-        if stable not in ext.generator_names:
-            raise ConfigError("stable_letter must name an extension generator")
-        iso_pairs = tuple(
-            (word_from_str(a, base.generator_names), word_from_str(b, base.generator_names))
-            for a, b in config.get("iso", [])
-        )
-        return HnnData(
-            base=base,
-            subgroup_a=_words_from_json(base, config.get("subgroup_a", ["e"])),
-            subgroup_b=_words_from_json(base, config.get("subgroup_b", ["e"])),
-            iso=iso_pairs or ((EPSILON, EPSILON),),
-            extension=ext,
-            stable_letter=ext.generator_names.index(stable) + 1,
-            base_letter_map=letter_map("base_letters", base, ext),
-        )
-    if kind == "amalgam":
-        left = oracle_of("left")
-        right = oracle_of("right")
-        ext = oracle_of("extension")
-        iso_pairs = tuple(
-            (word_from_str(a, left.generator_names), word_from_str(b, right.generator_names))
-            for a, b in config.get("iso", [])
-        )
-        return AmalgamData(
-            left=left,
-            right=right,
-            subgroup_a=_words_from_json(left, config.get("subgroup_a", ["e"])),
-            subgroup_b=_words_from_json(right, config.get("subgroup_b", ["e"])),
-            iso=iso_pairs or ((EPSILON, EPSILON),),
-            extension=ext,
-            left_letter_map=letter_map("left_letters", left, ext),
-            right_letter_map=letter_map("right_letters", right, ext),
-        )
-    raise ConfigError("extension config kind must be 'hnn' or 'amalgam'")

@@ -394,7 +394,11 @@ def orbit_positions(engine, region: Iterable[int]) -> dict[int, int]:
         for g in domain:
             rep = next((r for r in known_reps if engine.same_orbit(r, g)), None)
             if rep is None:
-                rep = next(u for u in range(g + 1) if engine.same_orbit(u, g))
+                # no placed u is in g's orbit: the representative of a
+                # placed vertex's orbit is already among known_reps
+                rep = next(
+                    u for u in range(g + 1) if u not in positions and engine.same_orbit(u, g)
+                )
                 known_reps.append(rep)
             positions[g] = _orbit_position(engine, rep, g)
     return positions
@@ -411,8 +415,6 @@ def psi_map(engine, z: Segment, region: Iterable[int], J: int = 3) -> PatternPat
     some arrow offset would leave the radius-``J`` ball.
     """
     domain = tuple(sorted(set(region)))
-    graph = engine.graph
-    num = engine.numbering
     positions = orbit_positions(engine, domain)
     if positions:
         need_lo = min(positions.values())
@@ -422,21 +424,8 @@ def psi_map(engine, z: Segment, region: Iterable[int], J: int = 3) -> PatternPat
                 f"segment covers positions {z.lo}..{z.hi} but the region "
                 f"needs {need_lo}..{need_hi}"
             )
-    values: dict[int, object] = {}
-    for g in domain:
-        word_g = num.to_word(g)
-        offsets = []
-        for sign in (-1, 1):
-            target = engine.act(g, sign)
-            if distance(graph, g, target, cap=J) is None:
-                raise ConfigError(
-                    f"arrow from vertex {g} jumps outside the radius-{J} ball"
-                )
-            offset_index = num.to_index(
-                concat_words(inverse_word(word_g), num.to_word(target))
-            )
-            offsets.append(num.to_word(offset_index))
-        values[g] = (z.at(positions[g]), ArrowLetter(l=offsets[0], r=offsets[1]))
+    arrows = action_patch(engine, domain, J).values
+    values = {g: (z.at(positions[g]), arrows[g]) for g in domain}
     return PatternPatch(domain, values)
 
 

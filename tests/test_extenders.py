@@ -10,9 +10,11 @@ from tlaction import (
     Fuel,
     builtin_group,
     cayley_oracle,
+    engine_for,
     extend_to_visit,
     make_bi_extensible,
 )
+from tlaction import extenders
 from tlaction.decidability import is_bi_extensible
 from tlaction.extenders import make_right_extensible
 from tlaction.paths import check_jumps
@@ -143,3 +145,20 @@ def test_extension_requires_bi_extensible(z2_setup):
 
     with pytest.raises(InvariantError):
         extend_to_visit(graph, dec, st, 5)
+
+
+@pytest.mark.parametrize("group", ["Z", "Z2"])
+@pytest.mark.parametrize("target", [4, 11])
+def test_exhaustive_fallback_extends(monkeypatch, group, target):
+    eng = engine_for(group, Fuel(10_000_000))
+    eng.build_stage(3)
+    st = eng._stages[3]
+    monkeypatch.setattr(extenders, "_try_split", lambda *args: None)
+    monkeypatch.setattr(extenders, "_try_one_side", lambda *args: None)
+    ext = extend_to_visit(eng.graph, eng.dec, st, target)  # only _try_enumerate is left
+    old, new = st.path, ext.path
+    assert all(new.at(n) == old.at(n) for n in old.domain)
+    assert new.lo < old.lo and new.hi > old.hi
+    assert new.visits(target)
+    check_jumps(eng.graph, new, max_jump=3)
+    assert is_bi_extensible(eng.dec, new)

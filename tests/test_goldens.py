@@ -1,11 +1,11 @@
 """Goldens: the realized stage paths, act tables and verify checks.
 
 Each digest is the SHA-256 of a canonical ``repr`` of values the package
-computes.  They were recorded before the stage window and the duplicate
-graph queries were removed, and pin that a refactor of the construction
-keeps every realized path, every ``act`` value and every verify check.
-The verify report's ``runtime`` (fuel consumed) is left out: it counts
-work, which a refactor may legitimately remove.
+computes.  They pin that a refactor of the construction keeps every
+realized path, every ``act`` value and every verify check; a change that
+alters one on purpose re-pins it and says so.  The verify report's
+``runtime`` (fuel consumed) is left out: it counts work, which a
+refactor may legitimately remove.
 """
 
 from __future__ import annotations

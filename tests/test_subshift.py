@@ -37,6 +37,7 @@ from tlaction import (
     xj_forbidden,
     yxj_forbidden,
 )
+from tlaction.subshift import _orbit_position
 
 BUDGET = 10_000
 
@@ -325,6 +326,44 @@ def test_orbit_positions_subgroup_mode():
     ba = num.to_index((2, 1))
     positions = orbit_positions(eng, [e, a, ai, b, ba])
     assert positions == {e: 0, a: 1, ai: -1, b: 0, ba: 1}
+
+
+def _full_scan_positions(engine, region):
+    """Reference: orbit positions with the representative scan asking every u <= g."""
+    positions = {}
+    known_reps = []
+    for g in sorted(set(region)):
+        rep = next((r for r in known_reps if engine.same_orbit(r, g)), None)
+        if rep is None:
+            rep = next(u for u in range(g + 1) if engine.same_orbit(u, g))
+            known_reps.append(rep)
+        positions[g] = _orbit_position(engine, rep, g)
+    return positions
+
+
+def test_orbit_positions_skip_placed_vertices():
+    eng = engine_for("Z2HNN", Fuel(10_000_000))
+    region = sorted(ball(eng.graph, 0, 4))
+    same_orbit = eng.same_orbit
+    calls = []
+
+    def counted(u, v):
+        calls.append((u, v))
+        return same_orbit(u, v)
+
+    eng.same_orbit = counted
+    reference = _full_scan_positions(eng, region)
+    full_calls = calls[:]
+    calls.clear()
+    assert orbit_positions(eng, region) == reference
+    # Calls whose first vertex is another orbit's representative come from
+    # the known-representatives scan, which both versions share; the rest
+    # come from the representative scan.
+    def rep_scan(pairs):
+        return [(u, g) for u, g in pairs if u == g or reference.get(u) != 0]
+
+    assert 10 * len(rep_scan(calls)) <= len(rep_scan(full_calls))
+    assert 2 * len(calls) <= len(full_calls)
 
 
 def test_recenter_moves_center_to_identity(z2):
