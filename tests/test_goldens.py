@@ -1,4 +1,5 @@
-"""Goldens: the realized stage paths, act tables and verify checks.
+"""Goldens: the realized stage paths, act tables, verify checks and the
+normal forms of short words in the shipped cyclic-subgroup instances.
 
 Each digest is the SHA-256 of a canonical ``repr`` of values the package
 computes.  They pin that a refactor of the construction keeps every
@@ -11,11 +12,22 @@ refactor may legitimately remove.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 
 import pytest
 
-from tlaction import Fuel, engine_for, report_to_json, run_suite
+from tlaction import (
+    Fuel,
+    HnnData,
+    amalgam_normal_form,
+    engine_for,
+    hnn_normal_form,
+    instance_for,
+    report_to_json,
+    run_suite,
+    z_subgroup_membership,
+)
 
 LAST_STAGE = {"Z": 200, "Z2": 200, "Z3": 200, "BS12": 50}
 ACT_SHIFTS = (-3, -1, 1, 3)
@@ -35,6 +47,15 @@ ACT_DIGESTS = {
 }
 
 VERIFY_ALL_SEED7_DIGEST = "e33750b912c91982330577ed15671937f18aa87f60acd62ed3e0e85eb0851da7"
+
+# every word of length <= NF_MAX_LEN over the extension's four letters
+# (1,365 words), with its normal-form parts and its cyclic-subgroup membership
+NF_MAX_LEN = 5
+NORMAL_FORM_DIGESTS = {
+    "FreeF2": "60d8d9bbc1397b4624d871fbf6af4c8fd5891ea5db01f3c1bd0aa21833519c63",
+    "Z2HNN": "568e25599a2aa74fba2b5e49433e6c4b822cceccf65fc121bb87292bb19a3761",
+    "Z2starZ3": "e1bfa366d5f7c1b0d90066019f7cd08549df852b7b4162b59976f4539894ef04",
+}
 
 
 def _digest(value) -> str:
@@ -81,3 +102,18 @@ def test_act_table_golden(grown, group):
 
 def test_verify_all_seed7_golden():
     assert _digest(verify_checks_json()) == VERIFY_ALL_SEED7_DIGEST
+
+
+@pytest.mark.parametrize("name", sorted(NORMAL_FORM_DIGESTS))
+def test_normal_forms_golden(name):
+    inst = instance_for(name)
+    d = inst.data
+    normal_form = hnn_normal_form if isinstance(d, HnnData) else amalgam_normal_form
+    fuel = Fuel(10**12)
+    rows = [
+        (w, normal_form(d, w, fuel).parts, z_subgroup_membership(inst, w, fuel))
+        for n in range(NF_MAX_LEN + 1)
+        for w in itertools.product(d.extension.letters, repeat=n)
+    ]
+    assert len(rows) == 1365
+    assert _digest(rows) == NORMAL_FORM_DIGESTS[name]
