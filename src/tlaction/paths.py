@@ -16,7 +16,6 @@ paths stay within jump bound 3.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import InvariantError
@@ -68,18 +67,8 @@ class ThreePath:
     def last(self) -> int:
         return self.vertices[-1]
 
-    @cached_property
-    def _positions(self) -> dict[int, int]:
-        return {v: self.start + k for k, v in enumerate(self.vertices)}
-
-    def position_of(self, v: int) -> int:
-        try:
-            return self._positions[v]
-        except KeyError:
-            raise KeyError(f"vertex {v} not visited by this path") from None
-
     def visits(self, v: int) -> bool:
-        return v in self._positions
+        return v in self.vertices
 
     @property
     def image(self) -> frozenset[int]:

@@ -3,25 +3,24 @@ associated subgroups, and membership in the resulting infinite cyclic
 subgroups.
 
 Both constructions come with a unique normal-form decomposition relative
-to right-coset representatives of the associated subgroups.  The normal
-form is found by enumerate-and-test: candidate sequences satisfying the
-structural conditions are searched depth-first under a total-letter-length
-budget, testing each complete candidate against the extension's word
-problem.  Uniqueness of the normal form makes the within-budget visiting
-order irrelevant; exponent-sum and geodesic-gap prunes keep the search
-small.  The extension's word problem is supplied per instance — it is an
-input hypothesis, never derived from the normal-form routine itself.
+to right-coset representatives of the associated subgroups (Lyndon and
+Schupp, Combinatorial Group Theory, Ch. IV).  The normal form is found by
+Britton reduction: the word is read once from the right, each letter
+folding into the normal form of the suffix read so far, so the work is
+linear in the word's length and no bound on the length of the result is
+assumed.  The extension's word problem is supplied per instance — it is
+an input hypothesis, never derived from the normal-form routine itself.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
 
 from .errors import ConfigError, Fuel, InvariantError, default_fuel
 from .groups import (
     EPSILON,
     GroupOracle,
+    Numbering,
     Word,
     builtin_group,
     canonical_numbering,
@@ -219,192 +218,113 @@ def coset_representatives(
     return tuple(reps)
 
 
-class _RepEnumerator:
-    """Lazy shortlex enumeration of right-coset representatives.
+def _split(numbering: Numbering, subgroup: tuple[Word, ...], g: Word) -> tuple[Word, Word]:
+    """g = s·r with s a listed subgroup element and r the representative of
+    the right coset subgroup·g: the canonical word of least index among the
+    words a·g, a in the subgroup (the first canonical word of the coset)."""
+    index, a = min((numbering.to_index(concat_words(a, g)), a) for a in subgroup)
+    return inverse_word(a), numbering.to_word(index)
 
-    Representatives are shortlex-least in their coset, so enumerating
-    canonical words up to length L yields every representative of length
-    <= L; the enumeration index survives between calls.
-    """
 
-    def __init__(self, oracle: GroupOracle, subgroup: tuple[Word, ...], fuel: Fuel):
-        self.oracle = oracle
-        self.subgroup = subgroup
-        self.fuel = fuel
-        self.numbering = canonical_numbering(oracle)
-        self._trivial = all(oracle.wp(a) for a in subgroup)
-        self._cache: list[Word] = []
-        self._index = 0
-        self._exhausted = False
+def _canonical(numbering: Numbering, w: Word) -> Word:
+    return numbering.to_word(numbering.to_index(w))
 
-    def up_to_length(self, max_len: int) -> list[Word]:
-        while not self._exhausted:
-            try:
-                candidate = self.numbering.to_word(self._index)
-            except ConfigError:
-                self._exhausted = True
-                break
-            if len(candidate) > max_len:
-                break
-            self._index += 1
-            self.fuel.tick()
-            if not self._trivial and any(
-                self.oracle.equal(candidate, concat_words(a, rep))
-                for rep in self._cache
-                for a in self.subgroup
-            ):
-                continue
-            self._cache.append(candidate)
-        return [w for w in self._cache if len(w) <= max_len]
+
+def _signed_inverse(letter_map: dict[int, int]) -> dict[int, int]:
+    """Extension letter (either sign) -> factor letter."""
+    return {sign * ext_lt: sign * lt for lt, ext_lt in letter_map.items() for sign in (1, -1)}
 
 
 # ---------------------------------------------------------------------------
-# normal forms by enumerate-and-test
+# normal forms by reduction
 # ---------------------------------------------------------------------------
-
-
-def _exponent_sum(word: Word, letter: int) -> int:
-    return sum(1 if lt == letter else -1 if lt == -letter else 0 for lt in word)
 
 
 def hnn_normal_form(d: HnnData, w: Word, fuel: Fuel | None = None) -> NormalForm:
     """The unique HNN normal form h0, t^e1, h1, ..., t^en, hn equal to w.
 
-    Conditions: e_i = -1 forces h_i into the A-representatives, e_i = +1
-    into the B-representatives, and no pinch t^e, 1, t^-e occurs.  The
-    search runs over candidates of total letter length bounded by len(w)
-    (valid here because the shipped extensions' normal forms never exceed
-    the input length), testing completions against the extension's word
-    problem; the unique match is returned regardless of visiting order.
+    Conditions: h0 is a canonical base word, e_i = -1 forces h_i into the
+    A-representatives, e_i = +1 into the B-representatives, and no pinch
+    t^e, 1, t^-e occurs.  Britton reduction reads w from the right, keeping
+    the normal form of the suffix read so far: a base letter multiplies
+    h0; a letter t^e splits h0 = s·r over B (e = +1) or A (e = -1), moves
+    s across t^e into the other subgroup, and either cancels against an
+    opposite stable letter (r trivial: a pinch) or opens a new syllable.
+    One fuel step per letter.
     """
     fuel = fuel if fuel is not None else Fuel(default_fuel())
     ext = d.extension
     t = d.stable_letter
-    budget = len(w)
-    target_exp = _exponent_sum(w, t)
-    rl = ext.reduced_length
-    reps_a = _RepEnumerator(d.base, d.subgroup_a, fuel)
-    reps_b = _RepEnumerator(d.base, d.subgroup_b, fuel)
-    base_all = _RepEnumerator(d.base, (EPSILON,), fuel)
-
-    def gap_ok(prefix: Word, used: int) -> bool:
-        if rl is None:
-            return True
-        return rl(concat_words(inverse_word(prefix), w)) <= budget - used
-
-    def search(
-        parts: list[Word],
-        prefix: Word,
-        used: int,
-        last_eps: int | None,
-        last_h_trivial: bool,
-        cur_exp: int,
-    ) -> tuple[Word, ...] | None:
+    base_letters = _signed_inverse(d.base_letter_map)
+    numbering = canonical_numbering(d.base)
+    head: Word = EPSILON
+    stack: list[tuple[int, Word]] = []  # (e_i, h_i), leftmost syllable last
+    for lt in reversed(w):
         fuel.tick()
-        if ext.equal(prefix, w):
-            return tuple(parts)
-        for eps in (1, -1):
-            if last_eps is not None and last_h_trivial and eps == -last_eps:
-                continue  # pinch t^e, 1, t^-e
-            used_t = used + 1
-            if used_t > budget:
-                continue
-            if abs(target_exp - (cur_exp + eps)) > budget - used_t:
-                continue
-            t_word: Word = (t if eps == 1 else -t,)
-            prefix_t = concat_words(prefix, t_word)
-            if not gap_ok(prefix_t, used_t):
-                continue
-            side = reps_b if eps == 1 else reps_a
-            for h in side.up_to_length(budget - used_t):
-                used_h = used_t + len(h)
-                h_ext = d.to_extension(h)
-                prefix_h = concat_words(prefix_t, h_ext)
-                if not gap_ok(prefix_h, used_h):
-                    continue
-                parts.append(t_word)
-                parts.append(h_ext)
-                found = search(parts, prefix_h, used_h, eps, len(h) == 0, cur_exp + eps)
-                if found is not None:
-                    return found
-                parts.pop()
-                parts.pop()
-        return None
-
-    for h0 in base_all.up_to_length(budget):
-        h0_ext = d.to_extension(h0)
-        if not gap_ok(h0_ext, len(h0)):
+        if abs(lt) != t:
+            if lt not in base_letters:
+                raise ConfigError(f"letter {lt} is neither a base letter nor the stable letter")
+            head = _canonical(numbering, (base_letters[lt],) + head)
             continue
-        found = search([h0_ext], h0_ext, len(h0), None, len(h0) == 0, 0)
-        if found is not None:
-            return NormalForm(kind="hnn", parts=found)
-    raise InvariantError(
-        "no normal form within the input's length budget; "
-        "the instance's rewriting must be length-non-increasing"
-    )
+        e = 1 if lt > 0 else -1
+        s, r = _split(numbering, d.subgroup_b if e == 1 else d.subgroup_a, head)
+        conj = concat_words((lt,), d.to_extension(s), (-lt,))
+        other = d.subgroup_a if e == 1 else d.subgroup_b
+        s_moved = next((x for x in other if ext.equal(conj, d.to_extension(x))), None)
+        if s_moved is None:
+            raise InvariantError("stable letter does not conjugate the associated subgroups")
+        if r == EPSILON and stack and stack[-1][0] == -e:
+            head = _canonical(numbering, concat_words(s_moved, stack.pop()[1]))
+        else:
+            stack.append((e, r))
+            head = _canonical(numbering, s_moved)
+    parts = [d.to_extension(head)]
+    for e, h in reversed(stack):
+        parts.append((t if e == 1 else -t,))
+        parts.append(d.to_extension(h))
+    return NormalForm(kind="hnn", parts=tuple(parts))
 
 
 def amalgam_normal_form(d: AmalgamData, w: Word, fuel: Fuel | None = None) -> NormalForm:
     """The unique amalgam normal form c0, c1, ..., cn equal to w: c0 in
     A ∪ B, every later c_i a nontrivial coset representative, sides
-    alternating.  Search as in the HNN case."""
+    alternating.  Reduction reads w from the right as in the HNN case: a
+    letter of one factor multiplies the amalgamated head (and the leftmost
+    syllable when that lies in the same factor), and the product splits
+    into a subgroup element, the new head, and a representative, a new
+    syllable unless trivial.  One fuel step per letter.
+    """
     fuel = fuel if fuel is not None else Fuel(default_fuel())
-    ext = d.extension
-    budget = len(w)
-    rl = ext.reduced_length
-    reps_a = _RepEnumerator(d.left, d.subgroup_a, fuel)
-    reps_b = _RepEnumerator(d.right, d.subgroup_b, fuel)
-
-    def gap_ok(prefix: Word, used: int) -> bool:
-        if rl is None:
-            return True
-        return rl(concat_words(inverse_word(prefix), w)) <= budget - used
-
-    def side_candidates(side: str, max_len: int) -> Iterator[Word]:
-        enum = reps_a if side == "A" else reps_b
-        convert = d.left_to_extension if side == "A" else d.right_to_extension
-        for rep in enum.up_to_length(max_len):
-            if len(rep) == 0:
-                continue  # c_i nontrivial for i >= 1
-            yield convert(rep)
-
-    def search(
-        parts: list[Word], prefix: Word, used: int, last_side: str | None
-    ) -> tuple[Word, ...] | None:
+    factors = (d.left, d.right)
+    subgroups = (d.subgroup_a, d.subgroup_b)
+    to_extension = (d.left_to_extension, d.right_to_extension)
+    factor_letters = {
+        ext_lt: (side, lt)
+        for side, letter_map in enumerate((d.left_letter_map, d.right_letter_map))
+        for ext_lt, lt in _signed_inverse(letter_map).items()
+    }
+    numberings = tuple(map(canonical_numbering, factors))
+    head = next(i for i, (a, _) in enumerate(d.iso) if d.left.wp(a))  # index into iso
+    stack: list[tuple[int, Word]] = []  # (side, c_i), leftmost syllable last
+    for lt in reversed(w):
         fuel.tick()
-        if ext.equal(prefix, w):
-            return tuple(parts)
-        sides = ("A", "B") if last_side is None else ("B",) if last_side == "A" else ("A",)
-        for side in sides:
-            for c in side_candidates(side, budget - used):
-                used_c = used + len(c)
-                prefix_c = concat_words(prefix, c)
-                if not gap_ok(prefix_c, used_c):
-                    continue
-                parts.append(c)
-                found = search(parts, prefix_c, used_c, side)
-                if found is not None:
-                    return found
-                parts.pop()
-        return None
-
-    # c0 ranges over the amalgamated subgroup (A and B agree through iso)
-    c0_candidates: list[Word] = []
-    for a in d.subgroup_a:
-        c0 = d.left_to_extension(a)
-        if all(not ext.equal(c0, prev) for prev in c0_candidates):
-            c0_candidates.append(c0)
-    c0_candidates.sort(key=lambda cw: (len(cw), cw))
-    for c0 in c0_candidates:
-        if not gap_ok(c0, len(c0)):
-            continue
-        found = search([c0], c0, len(c0), None)
-        if found is not None:
-            return NormalForm(kind="amalgam", parts=found)
-    raise InvariantError(
-        "no normal form within the input's length budget; "
-        "the instance's rewriting must be length-non-increasing"
-    )
+        if lt not in factor_letters:
+            raise ConfigError(f"letter {lt} belongs to neither factor")
+        side, factor_lt = factor_letters[lt]
+        g = concat_words((factor_lt,), d.iso[head][side])
+        if stack and stack[-1][0] == side:
+            g = concat_words(g, stack.pop()[1])
+        s, r = _split(numberings[side], subgroups[side], g)
+        head = next(
+            (i for i, pair in enumerate(d.iso) if factors[side].equal(pair[side], s)), None
+        )
+        if head is None:
+            raise InvariantError("subgroup element missing from the isomorphism table")
+        if r != EPSILON:
+            stack.append((side, r))
+    c0 = next(a for a in d.subgroup_a if d.left.equal(a, d.iso[head][0]))  # first listed
+    parts = [d.left_to_extension(c0)] + [to_extension[side](c) for side, c in reversed(stack)]
+    return NormalForm(kind="amalgam", parts=tuple(parts))
 
 
 # ---------------------------------------------------------------------------

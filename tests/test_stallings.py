@@ -12,9 +12,12 @@ from tlaction import (
     AmalgamData,
     ConfigError,
     Fuel,
+    GroupOracle,
     HnnData,
     NormalForm,
+    ZSubgroupInstance,
     amalgam_normal_form,
+    canonical_numbering,
     coset_representatives,
     cyclic_group,
     free_f2_instance,
@@ -34,22 +37,36 @@ BIG = Fuel(100_000_000)
 # -- shape invariants (the defining conditions, checked on any output) --------
 
 
+def is_representative(oracle: GroupOracle, subgroup, h) -> bool:
+    """h is the first canonical word of its right coset subgroup·h."""
+    numbering = canonical_numbering(oracle)
+    index = numbering.to_index(h)
+    return numbering.to_word(index) == h and all(
+        numbering.to_index(a + h) >= index for a in subgroup
+    )
+
+
+def factor_word(letter_map, p):
+    """The extension word p spelled back in a factor's alphabet."""
+    back = {ext_lt: lt for lt, ext_lt in letter_map.items()}
+    return tuple(back[abs(l)] if l > 0 else -back[abs(l)] for l in p)
+
+
 def check_hnn_shape(d: HnnData, nf: NormalForm) -> None:
     parts = nf.parts
     assert nf.kind == "hnn"
     assert len(parts) % 2 == 1
     t = d.stable_letter
-    base_letters = {abs(l) for l in d.base_letter_map.values()}
-    for i, p in enumerate(parts):
-        if i % 2 == 1:
-            assert p in ((t,), (-t,))
-        else:
-            assert all(abs(l) in base_letters for l in p)
-    # no pinch: with trivial associated subgroups, a trivial inner part
-    # may not sit between opposite-sign stable letters
-    ext = d.extension
+    h0 = factor_word(d.base_letter_map, parts[0])
+    assert is_representative(d.base, (EPSILON,), h0)  # h0 canonical
+    for i in range(1, len(parts), 2):
+        assert parts[i] in ((t,), (-t,))
+        subgroup = d.subgroup_b if parts[i] == (t,) else d.subgroup_a
+        assert is_representative(d.base, subgroup, factor_word(d.base_letter_map, parts[i + 1]))
+    # no pinch: the trivial representative may not sit between opposite-sign
+    # stable letters
     for i in range(2, len(parts) - 1, 2):
-        if ext.equal(parts[i], EPSILON):
+        if parts[i] == EPSILON:
             assert parts[i - 1] == parts[i + 1]
 
 
@@ -57,16 +74,19 @@ def check_amalgam_shape(d: AmalgamData, nf: NormalForm) -> None:
     parts = nf.parts
     assert nf.kind == "amalgam"
     assert len(parts) >= 1
-    ext = d.extension
-    assert ext.equal(parts[0], EPSILON)  # trivial amalgamated subgroup
-    left = {abs(l) for l in d.left_letter_map.values()}
-    right = {abs(l) for l in d.right_letter_map.values()}
+    assert parts[0] in {d.left_to_extension(a) for a in d.subgroup_a}
+    left = set(d.left_letter_map.values())
     sides = []
     for p in parts[1:]:
-        assert not ext.equal(p, EPSILON)  # factors after c0 are nontrivial
-        letters = {abs(l) for l in p}
-        assert letters <= left or letters <= right
-        sides.append("L" if letters <= left else "R")
+        assert p != EPSILON  # factors after c0 are nontrivial
+        on_left = abs(p[0]) in left
+        oracle, subgroup, letter_map = (
+            (d.left, d.subgroup_a, d.left_letter_map)
+            if on_left
+            else (d.right, d.subgroup_b, d.right_letter_map)
+        )
+        assert is_representative(oracle, subgroup, factor_word(letter_map, p))
+        sides.append(on_left)
     for a, b in zip(sides, sides[1:]):
         assert a != b  # strictly alternating
 
@@ -112,6 +132,15 @@ def test_amalgam_reduces_within_factor():
     assert amalgam_normal_form(d, (2, 2), BIG).parts == ((), (-2,))
 
 
+def test_normal_forms_over_nontrivial_subgroups():
+    # C3 ⋊ Z: t a t^-1 = a^-1, so t a = a^-1 t
+    assert hnn_normal_form(c3_semidirect_z(), (2, 1), BIG).parts == ((-1,), (2,), ())
+    # C2 × Z: t a t = a t t
+    assert hnn_normal_form(c2_times_z(), (2, 1, 2), BIG).parts == ((1,), (2,), (), (2,), ())
+    # C4 = C2 *_{C2} C4 with a = b^2: b^-1 = b^2 · b, longer than the input
+    assert amalgam_normal_form(c2_amalgam_c4(), (-2,), BIG).parts == ((1,), (2,))
+
+
 def test_normal_form_product_and_render():
     nf = NormalForm("hnn", ((), (2,), (1,)))
     assert nf.product() == (2, 1)
@@ -154,6 +183,93 @@ def test_amalgam_normal_form_randomized():
         assert again.parts == nf.parts
 
 
+# -- genuine extensions over nontrivial finite subgroups -----------------------
+
+
+def _keyed_oracle(name: str, generators, key, ends) -> GroupOracle:
+    return GroupOracle(
+        name=name,
+        generator_names=generators,
+        wp=lambda w: key(w) == key(EPSILON),
+        declared_ends=ends,
+        normal_key=key,
+    )
+
+
+def _semidirect_key(order: int, twist: int):
+    """a^k t^n in C_order ⋊ Z with t a t^-1 = a^twist (twist = ±1)."""
+
+    def key(word):
+        k = n = 0
+        for lt in word:
+            if abs(lt) == 1:
+                k += (1 if lt > 0 else -1) * twist ** (n % 2)
+            else:
+                n += 1 if lt > 0 else -1
+        return k % order, n
+
+    return key
+
+
+def _cyclic_hnn(order: int, twist: int) -> HnnData:
+    """HNN extension of C_order over A = B = C_order with iso a ↦ a^twist."""
+    elements = tuple((1,) * k for k in range(order))
+    return HnnData(
+        base=cyclic_group(order, "a"),
+        subgroup_a=elements,
+        subgroup_b=elements,
+        iso=tuple((x, x if twist == 1 else inverse_word(x)) for x in elements),
+        extension=_keyed_oracle(
+            f"C{order}HNN", ("a", "t"), _semidirect_key(order, twist), 2
+        ),
+        stable_letter=2,
+        base_letter_map={1: 1},
+    )
+
+
+def c2_times_z() -> HnnData:
+    return _cyclic_hnn(2, 1)
+
+
+def c3_semidirect_z() -> HnnData:
+    return _cyclic_hnn(3, -1)
+
+
+def c2_amalgam_c4() -> AmalgamData:
+    """C2 *_{C2} C4 over A = C2, B = {1, b^2}, iso a ↦ b^2: the group C4."""
+
+    def key(word):
+        return sum((2 if abs(lt) == 1 else 1) * (1 if lt > 0 else -1) for lt in word) % 4
+
+    return AmalgamData(
+        left=cyclic_group(2, "a"),
+        right=cyclic_group(4, "b"),
+        subgroup_a=(EPSILON, (1,)),
+        subgroup_b=(EPSILON, (1, 1)),
+        iso=((EPSILON, EPSILON), ((1,), (1, 1))),
+        extension=_keyed_oracle("C4", ("a", "b"), key, 0),
+        left_letter_map={1: 1},
+        right_letter_map={1: 2},
+    )
+
+
+@pytest.mark.parametrize("make", [c2_times_z, c3_semidirect_z, c2_amalgam_c4])
+def test_normal_forms_nontrivial_subgroups_randomized(make):
+    d = make()
+    hnn = isinstance(d, HnnData)
+    normal_form = hnn_normal_form if hnn else amalgam_normal_form
+    check_shape = check_hnn_shape if hnn else check_amalgam_shape
+    ext = d.extension
+    for w in _random_words([1, -1, 2, -2], 200, 12, seed=len(ext.name)):
+        nf = normal_form(d, w, BIG)
+        check_shape(d, nf)
+        assert ext.equal(nf.product(), w), w
+        assert normal_form(d, nf.product(), BIG).parts == nf.parts, w
+        if hnn:
+            got = z_subgroup_membership(ZSubgroupInstance(data=d), w, BIG)
+            assert got == brute_cyclic_member(ext.equal, (d.stable_letter,), w), w
+
+
 # -- membership ---------------------------------------------------------------
 
 
@@ -185,6 +301,15 @@ def test_membership_matches_brute_force(name):
         got = z_subgroup_membership(inst, w, BIG)
         want = brute_cyclic_member(ext.equal, c, w)
         assert got == want, (w, got, want)
+
+
+def test_membership_fuel_is_linear_in_word_length():
+    # (P·b)^-1 · P · a = b^-1 a, a non-member behind a long cancelling prefix
+    rng = random.Random(4)
+    p = tuple(rng.choice((1, -1, 2, -2)) for _ in range(100))
+    w = inverse_word(p + (2,)) + p + (1,)
+    assert len(w) == 202
+    assert not z_subgroup_membership(free_f2_instance(), w, Fuel(4 * len(w) + 4))
 
 
 def test_generator_words():
