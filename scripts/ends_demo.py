@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import argparse
 
-from tlaction import EndsDecider, Fuel, builtin_group, cayley_oracle
+from tlaction import CayleyGraph, EndsDecider, Fuel, builtin_group
 
 
 def line_index(graph, n: int) -> int:
@@ -30,7 +30,7 @@ def main() -> None:
     raw_sets = args.deleted or ["-1 0 1", "0 2", "-3 -2 -1 0 1 2 3"]
     sets = [[int(x) for x in chunk.split()] for chunk in raw_sets]
 
-    graph = cayley_oracle(builtin_group("Z"))
+    graph = CayleyGraph(builtin_group("Z"))
     dec = EndsDecider(graph, mode="two", separator=frozenset({0}), fuel=Fuel(args.fuel))
     print("line (two ends, separator {0}); every query is augmented with the separator:")
     for pts in sets:
@@ -45,7 +45,7 @@ def main() -> None:
             )
             print(f"  delete {sorted(set(pts) | {0})}: finite component {labels}")
 
-    grid = cayley_oracle(builtin_group("Z2"))
+    grid = CayleyGraph(builtin_group("Z2"))
     one = EndsDecider(grid, mode="one", fuel=Fuel(args.fuel))
     from tlaction import ball
 

@@ -184,10 +184,6 @@ class ActionEngine:
             self._record(st.path, prev)
         return self._stages[i].path
 
-    @property
-    def stage_count(self) -> int:
-        return len(self._stages)
-
     def current_path(self) -> ThreePath:
         if not self._stages:
             self.build_stage(0)

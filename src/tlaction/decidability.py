@@ -1,23 +1,25 @@
-"""Decision procedures for finite complement components and bi-extensibility.
+"""Deciding whether a finite vertex set leaves a finite complement component.
 
 Removing a finite vertex set V from an infinite connected locally finite
-graph leaves finitely many components, of which some may be finite.  Three
-procedures around that fact power everything else here:
+graph leaves finitely many components, of which some may be finite.
+:class:`EndsDecider` answers "does the complement of V have no finite
+component?" for a graph with a declared end count, one or two.  Each
+query dovetails two searches:
 
-- :func:`semidecide_finite_component` halts exactly when a finite component
-  exists (growing-ball stabilisation), producing it as a witness;
-- :func:`decide_no_finite_component_one_end` dovetails that search with a
-  connectivity semidecision that is complete on one-ended graphs;
-- :func:`decide_no_finite_component_two_ends` does the same with a
-  two-sided connectivity target, valid when V contains a declared
-  separator whose removal leaves exactly two infinite components.
+- a growing-ball search that halts exactly when a finite component
+  exists, producing it as a witness;
+- a connectivity search that halts once the vertices around V have
+  merged into as many complement-connected classes as the graph has ends
+  (in two-ended mode V always contains a declared separator whose removal
+  leaves the two infinite sides).
 
-The connectivity searches are only complete under the *declared* end count
+The connectivity search is only complete under the *declared* end count
 (which is input, not computed); detectably impossible outcomes raise
 :class:`EndsDeclarationError` instead of returning an arbitrary verdict.
 All searches run under an explicit :class:`~tlaction.errors.Fuel` budget
 and raise :class:`~tlaction.errors.FuelExhausted` rather than loop forever
-on invalid declarations.
+on invalid declarations.  :func:`witness_pair` supplies the other half of
+bi-extensibility: unvisited vertices near both ends of a path.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
-from .errors import ConfigError, EndsDeclarationError, Fuel, FuelExhausted, default_fuel
+from .errors import ConfigError, EndsDeclarationError, Fuel, default_fuel
 from .graph import ball, components_of
 from .paths import ThreePath
 
@@ -173,58 +175,6 @@ def _dovetail_query(
             return None
 
 
-def semidecide_finite_component(
-    graph, deleted: Iterable[int], fuel: Fuel | None = None
-) -> tuple[int, ...]:
-    """Search for a finite component of the complement of ``deleted``.
-
-    Halts (returning the component, sorted) iff one exists; otherwise runs
-    until the fuel budget is exhausted and raises FuelExhausted.
-    """
-    fuel = fuel if fuel is not None else Fuel(default_fuel())
-    dele = frozenset(deleted)
-    for witness in _finite_component_steps(graph, dele, fuel):
-        if witness is not None:
-            return witness
-    raise AssertionError("unreachable")
-
-
-def decide_no_finite_component_one_end(
-    graph, deleted: Iterable[int], fuel: Fuel | None = None
-) -> bool:
-    """Whether the complement of ``deleted`` has no finite component.
-
-    Correct and total (within fuel) on graphs with one end: there the
-    complement has no finite component exactly when all boundary vertices
-    are joined by complement paths.
-    """
-    fuel = fuel if fuel is not None else Fuel(default_fuel())
-    return _dovetail_query(graph, frozenset(deleted), 1, fuel) is None
-
-
-def decide_no_finite_component_two_ends(
-    graph,
-    deleted: Iterable[int],
-    separator: Iterable[int],
-    fuel: Fuel | None = None,
-) -> bool:
-    """Whether the complement of ``deleted`` has no finite component.
-
-    Correct and total (within fuel) on graphs with two ends, provided
-    ``deleted`` contains a separator whose removal leaves the two infinite
-    sides: then no finite component exactly when the boundary vertices
-    fall into two complement-connected classes.
-    """
-    fuel = fuel if fuel is not None else Fuel(default_fuel())
-    dele = frozenset(deleted)
-    sep = frozenset(separator)
-    if not sep <= dele:
-        raise ConfigError(
-            f"deleted set must contain the separator; missing {sorted(sep - dele)}"
-        )
-    return _dovetail_query(graph, dele, 2, fuel) is None
-
-
 @dataclass
 class EndsDecider:
     """Mode-aware decider for "the complement of V has no finite component".
@@ -275,21 +225,3 @@ def witness_pair(graph, path: ThreePath) -> tuple[int, int] | None:
             if ws != we:
                 return (ws, we)
     return None
-
-
-def right_witness(graph, path: ThreePath) -> int | None:
-    """Least unvisited vertex within distance 3 of the last path vertex."""
-    cands = sorted(ball(graph, path.last, 3) - path.image)
-    return cands[0] if cands else None
-
-
-def is_bi_extensible(dec: EndsDecider, path: ThreePath) -> bool:
-    """Whether a 3-path can keep growing in both directions forever.
-
-    Three conditions, each decidable: the (augmented) complement of the
-    path's image has no finite component, and there are distinct unvisited
-    witnesses within distance 3 of the last and first path vertices.
-    """
-    if witness_pair(dec.graph, path) is None:
-        return False
-    return dec.no_finite_component(path.image)

@@ -1,10 +1,12 @@
-"""Growing 3-paths that can keep growing: right-/bi-extensible states.
+"""Growing 3-paths that can keep growing: bi-extensible states.
 
 A path is *bi-extensible* when its complement has no finite component and
 unvisited witnesses sit within distance 3 of both endpoints; such a path
 can always be extended on both sides while staying bi-extensible, and can
-be steered to visit any chosen target vertex.  This module constructs the
-initial states and performs the steered extension step.
+be steered to visit any chosen target vertex.  This module builds the
+initial state (:func:`make_bi_extensible`), bundles a given path into a
+state when it qualifies (:func:`state_from_path`), and performs the
+steered extension step (:func:`extend_to_visit`).
 
 The extension step works by carving a finite region out of the path's
 complement, walking it Hamiltonianly with small jumps, and splicing the
@@ -21,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .decidability import EndsDecider, right_witness, witness_pair
+from .decidability import EndsDecider, witness_pair
 from .errors import InvariantError
 from .graph import distance, induced_patch, shortest_path
 from .paths import ThreePath, check_jumps, extend_path, karaganis_path
@@ -29,32 +31,26 @@ from .paths import ThreePath, check_jumps, extend_path, karaganis_path
 
 @dataclass(frozen=True)
 class ExtensibleState:
-    """A 3-path bundled with its extensibility evidence.
+    """A bi-extensible 3-path bundled with its extensibility evidence.
 
     ``witness_end`` is an unvisited vertex within distance 3 of the last
-    path vertex; ``witness_start`` likewise for the first vertex (``None``
-    for a state that is only right-extensible).  The complement
-    certificate itself is not stored: it was checked by the decider when
-    the state was built.
+    path vertex; ``witness_start`` likewise for the first vertex.  The
+    complement certificate itself is not stored: it was checked by the
+    decider when the state was built.
     """
 
     path: ThreePath
     witness_end: int
-    witness_start: int | None
+    witness_start: int
 
     def __post_init__(self) -> None:
         image = self.path.image
         if self.witness_end in image:
             raise InvariantError("end witness must be unvisited")
-        if self.witness_start is not None:
-            if self.witness_start in image:
-                raise InvariantError("start witness must be unvisited")
-            if self.witness_start == self.witness_end:
-                raise InvariantError("witnesses must be distinct")
-
-    @property
-    def bi_extensible(self) -> bool:
-        return self.witness_start is not None
+        if self.witness_start in image:
+            raise InvariantError("start witness must be unvisited")
+        if self.witness_start == self.witness_end:
+            raise InvariantError("witnesses must be distinct")
 
 
 def _adjacent_to(graph, component: Iterable[int], region: set[int] | frozenset[int]) -> bool:
@@ -131,38 +127,7 @@ def state_from_path(
     if pair is None:
         return None
     ws, we = pair
-    return ExtensibleState(
-        path=path,
-        witness_end=we,
-        witness_start=ws,
-    )
-
-
-def make_right_extensible(graph, dec: EndsDecider, u: int, v: int) -> ExtensibleState:
-    """A right-extensible 3-path starting at ``u`` and visiting ``v``.
-
-    Construction: a shortest u–v path, closed up by absorbing finite
-    complement components, then walked Hamiltonianly from ``u`` to a
-    boundary exit so that an unvisited witness remains within distance 3
-    of the walk's end.
-    """
-    spine = shortest_path(graph, u, v)
-    if spine is None:
-        raise InvariantError(f"no path joins {u} and {v}")
-    region = set(spine)
-    _absorb_into(graph, dec, frozenset(), [region])
-    patch = induced_patch(graph, region)
-    exit_ = _exit_vertex(graph, region, u, frozenset())
-    order = karaganis_path(patch, u, exit_)
-    path = ThreePath(start=0, vertices=order)
-    witness = right_witness(graph, path)
-    if witness is None:
-        raise InvariantError("construction left no unvisited witness near the end")
-    return ExtensibleState(
-        path=path,
-        witness_end=witness,
-        witness_start=None,
-    )
+    return ExtensibleState(path=path, witness_end=we, witness_start=ws)
 
 
 def make_bi_extensible(graph, dec: EndsDecider, w: int) -> ExtensibleState:
@@ -191,17 +156,11 @@ def make_bi_extensible(graph, dec: EndsDecider, w: int) -> ExtensibleState:
     if not region_nbrs:
         raise InvariantError("region is not connected at its boundary vertex")
     v = region_nbrs[0]
-    order = karaganis_path(patch, u, v)
-    path = ThreePath(start=0, vertices=order)
-    pair = witness_pair(graph, path)
-    if pair is None:
+    path = ThreePath(start=0, vertices=karaganis_path(patch, u, v))
+    state = state_from_path(graph, dec, path, certified=True)
+    if state is None:
         raise InvariantError("construction left no distinct witness pair")
-    ws, we = pair
-    return ExtensibleState(
-        path=path,
-        witness_end=we,
-        witness_start=ws,
-    )
+    return state
 
 
 # ---------------------------------------------------------------------------
@@ -234,17 +193,7 @@ def _validate_candidate(
         check_jumps(graph, new, max_jump=3, positions=new_positions)
     except InvariantError:
         return None
-    if not certified and not dec.no_finite_component(new.image):
-        return None
-    pair = witness_pair(graph, new)
-    if pair is None:
-        return None
-    ws, we = pair
-    return ExtensibleState(
-        path=new,
-        witness_end=we,
-        witness_start=ws,
-    )
+    return state_from_path(graph, dec, new, certified)
 
 
 def _splice(old: ThreePath, left_walk: tuple[int, ...], right_walk: tuple[int, ...]) -> ThreePath:
@@ -429,8 +378,6 @@ def extend_to_visit(graph, dec: EndsDecider, st: ExtensibleState, w: int) -> Ext
     when the budget runs out — on a correctly declared one- or two-ended
     graph the search always succeeds first.
     """
-    if not st.bi_extensible:
-        raise InvariantError("extension requires a bi-extensible state")
     f = st.path
     w_eff = w if w not in f.image else st.witness_end
     radius = 4

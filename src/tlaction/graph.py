@@ -1,14 +1,15 @@
-"""Locally finite graphs presented by adjacency oracles.
+"""The Cayley graph of a group, and finite patches cut out of it.
 
-The central instance is the Cayley graph of a :class:`~tlaction.groups.GroupOracle`
-on its canonical numbering: vertices are numbering indices, and two indices
-are adjacent when their canonical words differ by one generator letter on
-the right.  All algorithms consume only the oracle interface (``neighbors``,
-``degree``, ``adjacent``), so they apply to any graph presented this way.
+:class:`CayleyGraph` presents the Cayley graph of a
+:class:`~tlaction.groups.GroupOracle` on its canonical numbering: vertices
+are numbering indices, and two indices are adjacent when their canonical
+words differ by one generator letter on the right.  It is the only
+infinite graph in the package.
 
-Finite fragments are materialised as :class:`FinitePatch` values: immutable
-induced subgraphs that support distance and component queries without
-touching the oracle again, plus DOT/JSON export.
+Finite fragments are materialised as :class:`FinitePatch` values:
+immutable induced subgraphs with DOT/JSON export.  The breadth-first
+searches (:func:`ball`, :func:`distance`, :func:`shortest_path`,
+:func:`components_of`) read only ``neighbors`` and so run on either kind.
 """
 
 from __future__ import annotations
@@ -20,51 +21,6 @@ from typing import Callable, Iterable, Mapping
 
 from .errors import Fuel, InvariantError
 from .groups import GroupOracle, Numbering, canonical_numbering, word_to_str
-
-
-class AdjacencyGraph:
-    """Graph given only by ``adjacent(u, v)`` and ``degree(v)`` callables.
-
-    ``neighbors(v)`` scans indices ``0, 1, 2, ...`` until ``degree(v)``
-    neighbours have been found; this halts on every locally finite graph
-    whose vertex set is an initial segment of the naturals (or all of them).
-    """
-
-    def __init__(
-        self,
-        adjacent: Callable[[int, int], bool],
-        degree: Callable[[int], int],
-        fuel: Fuel | None = None,
-    ):
-        self._adjacent = adjacent
-        self._degree = degree
-        self.fuel = fuel
-        self._cache: dict[int, tuple[int, ...]] = {}
-
-    def adjacent(self, u: int, v: int) -> bool:
-        if self.fuel is not None:
-            self.fuel.tick()
-        return self._adjacent(u, v)
-
-    def degree(self, v: int) -> int:
-        if self.fuel is not None:
-            self.fuel.tick()
-        return self._degree(v)
-
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        cached = self._cache.get(v)
-        if cached is not None:
-            return cached
-        want = self.degree(v)
-        out: list[int] = []
-        u = 0
-        while len(out) < want:
-            if u != v and self.adjacent(u, v):
-                out.append(u)
-            u += 1
-        result = tuple(out)
-        self._cache[v] = result
-        return result
 
 
 class CayleyGraph:
@@ -112,20 +68,6 @@ class CayleyGraph:
     def label(self, v: int) -> str:
         """Human-readable label: the canonical word at index ``v``."""
         return word_to_str(self.numbering.to_word(v), self.oracle.generator_names)
-
-
-def cayley_oracle(
-    oracle: GroupOracle,
-    numbering: Numbering | None = None,
-    fuel: Fuel | None = None,
-) -> CayleyGraph:
-    """The graph oracle of a group's Cayley graph on its generating set.
-
-    Vertices are numbering indices; ``m`` and ``n`` are adjacent iff some
-    generator or inverse carries one word to the other, with neighbour sets
-    deduplicated through the word problem.
-    """
-    return CayleyGraph(oracle, numbering, fuel)
 
 
 # ---------------------------------------------------------------------------
@@ -296,24 +238,6 @@ class FinitePatch:
             vertices=tuple(sorted(keep)),
             edges=tuple(e for e in self.edges if e[0] in keep and e[1] in keep),
         )
-
-    def union(self, other: "FinitePatch") -> "FinitePatch":
-        vs = sorted(set(self.vertices) | set(other.vertices))
-        es = sorted(set(self.edges) | set(other.edges))
-        return FinitePatch(vertices=tuple(vs), edges=tuple(es))
-
-
-def components(patch: FinitePatch, deleted: Iterable[int] = ()) -> tuple[tuple[int, ...], ...]:
-    """Connected components of ``patch`` after deleting a vertex set.
-
-    Each component is a sorted vertex tuple; the list is sorted by least
-    element.  ``deleted`` must be a subset of the patch's vertices.
-    """
-    gone = set(deleted)
-    extra = gone - set(patch.vertices)
-    if extra:
-        raise InvariantError(f"deleted vertices not in patch: {sorted(extra)}")
-    return components_of(patch, set(patch.vertices) - gone)
 
 
 def induced_patch(graph, vertices: Iterable[int]) -> FinitePatch:

@@ -39,18 +39,6 @@ def letter(generator_index: int, sign: int = 1) -> int:
     return sign * (generator_index + 1)
 
 
-def letter_rank(lt: int) -> int:
-    """Position of a letter in the alphabet order s1 < s1^-1 < s2 < s2^-1 < ..."""
-    if lt == 0:
-        raise ValueError("0 is not a letter")
-    return 2 * (abs(lt) - 1) + (0 if lt > 0 else 1)
-
-
-def word_key(word: Word) -> tuple:
-    """Sort key realising shortlex order on words."""
-    return (len(word), tuple(letter_rank(lt) for lt in word))
-
-
 def inverse_word(word: Word) -> Word:
     return tuple(-lt for lt in reversed(word))
 
@@ -541,6 +529,10 @@ _STRATEGIES: dict[str, Callable[..., GroupOracle]] = {
 }
 
 
+def _is_word_list(value: object) -> bool:
+    return isinstance(value, list) and all(isinstance(w, str) for w in value)
+
+
 def group_from_config(config: dict | str) -> GroupOracle:
     """Load a group from a config mapping or a JSON file path.
 
@@ -563,8 +555,12 @@ def group_from_config(config: dict | str) -> GroupOracle:
         )
     kwargs = {}
     if "d" in config:
-        kwargs["d"] = int(config["d"])
+        if type(config["d"]) is not int:
+            raise ConfigError(f"'d' must be an integer, got {config['d']!r}")
+        kwargs["d"] = config["d"]
     if "generators" in config:
+        if not isinstance(config["generators"], list):
+            raise ConfigError("'generators' must be a list of names")
         gens = tuple(str(g) for g in config["generators"])
         kwargs["generators"] = gens
     base = _STRATEGIES[strategy](**kwargs)
@@ -580,6 +576,9 @@ def group_from_config(config: dict | str) -> GroupOracle:
     cert = base.ends_certificate
     if "certificate" in config:
         raw = config["certificate"]
+        parts = ("separator", "side_a", "side_b")
+        if not isinstance(raw, dict) or not all(_is_word_list(raw.get(k)) for k in parts):
+            raise ConfigError(f"certificate must map {', '.join(parts)} to lists of words")
         cert = EndsCertificate(
             separator=tuple(word_from_str(w, names) for w in raw["separator"]),
             side_a=tuple(word_from_str(w, names) for w in raw["side_a"]),

@@ -78,10 +78,6 @@ class ThreePath:
         return len(self.vertices)
 
 
-def singleton_path(v: int, at: int = 0) -> ThreePath:
-    return ThreePath(start=at, vertices=(v,))
-
-
 def invert_path(f: ThreePath) -> ThreePath:
     """The reversed path, reindexed so position i maps to old position -i."""
     return ThreePath(start=-f.hi, vertices=tuple(reversed(f.vertices)))
@@ -89,23 +85,6 @@ def invert_path(f: ThreePath) -> ThreePath:
 
 def shift_path(f: ThreePath, k: int) -> ThreePath:
     return ThreePath(start=f.start + k, vertices=f.vertices)
-
-
-def concat_paths(f: ThreePath, h: ThreePath, graph=None, max_jump: int = 3) -> ThreePath:
-    """Concatenation: ``f`` keeps its domain, ``h`` is re-indexed to follow it.
-
-    Requires disjoint images and, when a graph is supplied, a junction jump
-    ``d(f.last, h.first) <= max_jump``.
-    """
-    if f.image & h.image:
-        raise InvariantError("concatenated paths must have disjoint images")
-    if graph is not None:
-        d = distance(graph, f.last, h.first, cap=max_jump)
-        if d is None:
-            raise InvariantError(
-                f"junction jump from {f.last} to {h.first} exceeds {max_jump}"
-            )
-    return ThreePath(start=f.start, vertices=f.vertices + h.vertices)
 
 
 def extend_path(
@@ -119,14 +98,6 @@ def extend_path(
     """
     vertices = tuple(before) + f.vertices + tuple(after)
     return ThreePath(start=f.start - len(before), vertices=vertices)
-
-
-def jump_sizes(graph, path: ThreePath, cap: int = 6) -> tuple[int | None, ...]:
-    """Distances between consecutive path vertices, ``None`` beyond ``cap``."""
-    return tuple(
-        distance(graph, path.vertices[k], path.vertices[k + 1], cap=cap)
-        for k in range(len(path.vertices) - 1)
-    )
 
 
 def check_jumps(

@@ -26,6 +26,7 @@ from .groups import (
     canonical_numbering,
     concat_words,
     inverse_word,
+    power_word,
     word_to_str,
 )
 
@@ -349,12 +350,13 @@ class ZSubgroupInstance:
 
 
 def _is_t_power(nf: NormalForm, t: int) -> bool:
+    """Whether an HNN normal form reads 1, t^e, 1, ..., t^e, 1 for a single
+    sign e: by uniqueness, exactly the normal forms of the powers of t."""
     parts = nf.parts
-    if len(parts) % 2 == 0:
+    if any(h != EPSILON for h in parts[0::2]):
         return False
-    if any(parts[i] != EPSILON for i in range(0, len(parts), 2)):
-        return False
-    return all(parts[i] == (t,) for i in range(1, len(parts), 2))
+    letters = set(parts[1::2])
+    return letters <= {(t,)} or letters <= {(-t,)}
 
 
 def _is_uv_power(nf: NormalForm, ext: GroupOracle, u: Word, v: Word) -> bool:
@@ -373,26 +375,30 @@ def _is_uv_power(nf: NormalForm, ext: GroupOracle, u: Word, v: Word) -> bool:
 def z_subgroup_membership(
     inst: ZSubgroupInstance, w: Word, fuel: Fuel | None = None
 ) -> bool:
-    """Whether w lies in the designated infinite cyclic subgroup.
+    """Whether w lies in the designated infinite cyclic subgroup, from the
+    one normal form of w.
 
-    HNN: w ∈ <t> iff the normal form of w or of w⁻¹ is 1, t, 1, ..., t, 1.
-    Amalgam: w ∈ <uv> iff the normal form of w or w⁻¹ is 1, u, v, ..., u, v.
+    HNN: w ∈ <t> iff its normal form is 1, t^e, 1, ..., t^e, 1 with one
+    sign e throughout.  Amalgam: w = (uv)^k with k >= 0 iff its normal form
+    is 1, u, v, ..., u, v; a negative power (uv)^-k has exactly 2k
+    syllables, so a form with 2k syllables otherwise is a member iff w
+    equals (uv)^-k in the extension, and an odd syllable count never is.
     The identity (empty normal form tail) is a member in both cases.
     """
     fuel = fuel if fuel is not None else Fuel(default_fuel())
     d = inst.data
     if isinstance(d, HnnData):
-        for cand in (w, inverse_word(w)):
-            if _is_t_power(hnn_normal_form(d, cand, fuel), d.stable_letter):
-                return True
-        return False
+        return _is_t_power(hnn_normal_form(d, w, fuel), d.stable_letter)
     u, v = inst.designated_u, inst.designated_v
     if u is None or v is None:
         raise ConfigError("amalgam membership requires designated u and v")
-    for cand in (w, inverse_word(w)):
-        if _is_uv_power(amalgam_normal_form(d, cand, fuel), d.extension, u, v):
-            return True
-    return False
+    nf = amalgam_normal_form(d, w, fuel)
+    if _is_uv_power(nf, d.extension, u, v):
+        return True
+    syllables = len(nf.parts) - 1
+    if syllables % 2 != 0:
+        return False
+    return d.extension.equal(w, power_word(inst.generator_word, -(syllables // 2)))
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,7 @@ from .groups import (
     GroupOracle,
     Numbering,
     Word,
+    _is_word_list,
     canonical_numbering,
     concat_words,
     inverse_word,
@@ -560,16 +561,25 @@ def pattern_patch_from_json(graph: CayleyGraph, text: str) -> PatternPatch:
         raise ConfigError(f"patch is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or "domain" not in doc:
         raise ConfigError("patch JSON must be an object with a 'domain' key")
+    words = doc["domain"]
+    if not words or not _is_word_list(words):
+        raise ConfigError("patch 'domain' must be a non-empty list of words")
     names = graph.oracle.generator_names
     num = graph.numbering
-    domain = [num.to_index(word_from_str(s, names)) for s in doc["domain"]]
+    domain = [num.to_index(word_from_str(s, names)) for s in words]
     a_layer = doc.get("A")
     b_layer = doc.get("B")
     if a_layer is None and b_layer is None:
         raise ConfigError("patch JSON needs an 'A' or 'B' layer")
     for layer, name in ((a_layer, "A"), (b_layer, "B")):
+        if layer is not None and not isinstance(layer, list):
+            raise ConfigError(f"layer {name!r} must be a list")
         if layer is not None and len(layer) != len(domain):
             raise ConfigError(f"layer {name!r} length differs from the domain")
+    if b_layer is not None and not all(
+        _is_word_list(pair) and len(pair) == 2 for pair in b_layer
+    ):
+        raise ConfigError("each 'B' entry must be a pair of words")
     values: dict[int, object] = {}
     for i, v in enumerate(domain):
         arrow = None

@@ -182,6 +182,27 @@ def test_subshift_check_rejects_letter_only(capsys, tmp_path):
     assert "arrow data" in err
 
 
+@pytest.mark.parametrize(
+    "command, doc",
+    [
+        ("subshift-check", {"domain": [], "A": []}),
+        ("subshift-check", {"domain": ["e"], "B": [["e"]]}),
+        ("subshift-check", {"domain": ["e"], "B": ["ab"]}),
+        ("subshift-check", {"domain": [3], "A": ["x"]}),
+        ("act", {"strategy": "zd", "d": "x"}),
+        ("act", {"strategy": "z", "generators": 5}),
+        ("act", {"strategy": "z", "declared_ends": 2, "certificate": {"separator": ["e"]}}),
+    ],
+)
+def test_malformed_input_file_is_config_error(capsys, tmp_path, command, doc):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))
+    argv = (command, str(path)) if command == "subshift-check" else (command, "--group", str(path))
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert "config error" in err
+
+
 # -- plumbing -----------------------------------------------------------------------
 
 

@@ -1,10 +1,11 @@
-"""Finite-complement-component procedures and bi-extensibility decisions."""
+"""The ends decider and bi-extensibility decisions."""
 
 from __future__ import annotations
 
 import pytest
 
 from tlaction import (
+    CayleyGraph,
     ConfigError,
     EndsDecider,
     Fuel,
@@ -12,28 +13,21 @@ from tlaction import (
     ThreePath,
     ball,
     builtin_group,
-    cayley_oracle,
 )
-from tlaction.decidability import (
-    decide_no_finite_component_one_end,
-    decide_no_finite_component_two_ends,
-    is_bi_extensible,
-    right_witness,
-    semidecide_finite_component,
-    witness_pair,
-)
+from tlaction.decidability import _finite_component_steps, witness_pair
+from tlaction.extenders import state_from_path
 
 from oracles import grid_no_finite_component
 
 
 @pytest.fixture(scope="module")
 def z2():
-    return cayley_oracle(builtin_group("Z2"))
+    return CayleyGraph(builtin_group("Z2"))
 
 
 @pytest.fixture(scope="module")
 def z():
-    return cayley_oracle(builtin_group("Z"))
+    return CayleyGraph(builtin_group("Z"))
 
 
 def z2_indices(graph, coords):
@@ -50,40 +44,59 @@ def z_index(graph, n):
     return graph.numbering.to_index((1,) * max(n, 0) + (-1,) * max(-n, 0))
 
 
-# -- semidecision ---------------------------------------------------------------
+def one_ended(graph, fuel):
+    return EndsDecider(graph, mode="one", fuel=Fuel(fuel))
+
+
+def two_ended(graph, fuel):
+    """The line's decider, separated at the identity."""
+    return EndsDecider(graph, mode="two", separator=frozenset({0}), fuel=Fuel(fuel))
+
+
+def exhausts_finite_component_search(graph, deleted, fuel):
+    """Whether the finite-component search alone runs out of fuel: it halts
+    only when a finite component exists."""
+    try:
+        for witness in _finite_component_steps(graph, frozenset(deleted), Fuel(fuel)):
+            if witness is not None:
+                return False
+    except FuelExhausted:
+        return True
+
+
+# -- finite-component witnesses -------------------------------------------------
 
 
 def test_semidecide_finds_isolated_origin(z2):
     cross = z2_indices(z2, [(1, 0), (-1, 0), (0, 1), (0, -1)])
-    witness = semidecide_finite_component(z2, cross, Fuel(200_000))
-    assert witness == (0,)
+    assert one_ended(z2, 200_000).find_finite_component(cross) == (0,)
 
 
 def test_semidecide_exhausts_on_two_rays(z):
-    with pytest.raises(FuelExhausted):
-        semidecide_finite_component(z, [z_index(z, 0)], Fuel(4_000))
+    assert two_ended(z, 4_000).find_finite_component([z_index(z, 0)]) is None
+    assert exhausts_finite_component_search(z, [z_index(z, 0)], 4_000)
 
 
 def test_semidecide_exhausts_on_annulus(z2):
-    with pytest.raises(FuelExhausted):
-        semidecide_finite_component(z2, ball(z2, 0, 1), Fuel(4_000))
+    assert one_ended(z2, 4_000).find_finite_component(ball(z2, 0, 1)) is None
+    assert exhausts_finite_component_search(z2, ball(z2, 0, 1), 4_000)
 
 
 # -- one-ended decider ------------------------------------------------------------
 
 
 def test_one_end_ball_deletion_true(z2):
-    assert decide_no_finite_component_one_end(z2, ball(z2, 0, 1), Fuel(500_000))
+    assert one_ended(z2, 500_000).no_finite_component(ball(z2, 0, 1))
 
 
 def test_one_end_isolating_cross_false(z2):
     cross = z2_indices(z2, [(1, 0), (-1, 0), (0, 1), (0, -1)])
-    assert not decide_no_finite_component_one_end(z2, cross, Fuel(500_000))
+    assert not one_ended(z2, 500_000).no_finite_component(cross)
 
 
 def test_one_end_bs12_identity_true():
-    bs = cayley_oracle(builtin_group("BS12"))
-    assert decide_no_finite_component_one_end(bs, [0], Fuel(2_000_000))
+    bs = CayleyGraph(builtin_group("BS12"))
+    assert one_ended(bs, 2_000_000).no_finite_component([0])
 
 
 def test_one_end_random_verdicts_match_window_oracle(z2, rng):
@@ -93,9 +106,7 @@ def test_one_end_random_verdicts_match_window_oracle(z2, rng):
             for _ in range(rng.randrange(1, 5))
         }
         expected = grid_no_finite_component(pts, dim=2)
-        got = decide_no_finite_component_one_end(
-            z2, z2_indices(z2, sorted(pts)), Fuel(2_000_000)
-        )
+        got = one_ended(z2, 2_000_000).no_finite_component(z2_indices(z2, sorted(pts)))
         assert got == expected, pts
 
 
@@ -103,30 +114,21 @@ def test_one_end_random_verdicts_match_window_oracle(z2, rng):
 
 
 def test_two_ends_examples(z):
-    sep = [z_index(z, 0)]
-    fuel = Fuel(500_000)
+    assert z_index(z, 0) == 0  # the separator
     three = [z_index(z, k) for k in (-1, 0, 1)]
-    assert decide_no_finite_component_two_ends(z, three, sep, fuel)
+    assert two_ended(z, 500_000).no_finite_component(three)
     gap = [z_index(z, 0), z_index(z, 2)]
-    assert not decide_no_finite_component_two_ends(z, gap, sep, Fuel(500_000))
+    assert not two_ended(z, 500_000).no_finite_component(gap)
     seven = [z_index(z, k) for k in range(-3, 4)]
-    assert decide_no_finite_component_two_ends(z, seven, sep, Fuel(500_000))
-
-
-def test_two_ends_requires_separator(z):
-    with pytest.raises(ConfigError):
-        decide_no_finite_component_two_ends(
-            z, [z_index(z, 2)], [z_index(z, 0)], Fuel(10_000)
-        )
+    assert two_ended(z, 500_000).no_finite_component(seven)
 
 
 def test_two_ends_random_verdicts_match_window_oracle(z, rng):
-    sep = [z_index(z, 0)]
     for _ in range(40):
         pts = {0} | {rng.randrange(-5, 6) for _ in range(rng.randrange(1, 5))}
         expected = grid_no_finite_component(pts, dim=1)
-        got = decide_no_finite_component_two_ends(
-            z, [z_index(z, p) for p in sorted(pts)], sep, Fuel(1_000_000)
+        got = two_ended(z, 1_000_000).no_finite_component(
+            [z_index(z, p) for p in sorted(pts)]
         )
         assert got == expected, pts
 
@@ -140,11 +142,16 @@ def test_decider_augments_separator(z):
     assert comp == (z_index(z, 1),)
 
 
+def test_two_ends_requires_separator(z):
+    with pytest.raises(ConfigError):
+        EndsDecider(z, mode="two")
+    with pytest.raises(ConfigError):
+        EndsDecider(z, mode="two", separator=frozenset())
+
+
 def test_decider_mode_validation(z):
     with pytest.raises(ConfigError):
         EndsDecider(z, mode="three")
-    with pytest.raises(ConfigError):
-        EndsDecider(z, mode="two", separator=frozenset())
 
 
 # -- witnesses and bi-extensibility ---------------------------------------------
@@ -154,21 +161,21 @@ def test_witnesses(z):
     p = ThreePath(0, (z_index(z, 0), z_index(z, 1)))
     pair = witness_pair(z, p)
     assert pair is not None and pair[0] != pair[1]
-    assert right_witness(z, p) not in p.image
+    assert not set(pair) & p.image
 
 
 def test_bi_extensible_examples(z2, z):
     dec2 = EndsDecider(z2, mode="one", fuel=Fuel(2_000_000))
     horiz = z2_indices(z2, [(0, 0), (1, 0)])
-    assert is_bi_extensible(dec2, ThreePath(0, tuple(horiz)))
+    assert state_from_path(z2, dec2, ThreePath(0, tuple(horiz))) is not None
 
     decz = EndsDecider(z, mode="two", separator=frozenset({0}), fuel=Fuel(500_000))
     gap = ThreePath(0, (z_index(z, 0), z_index(z, 2)))
-    assert not is_bi_extensible(decz, gap)
+    assert state_from_path(z, decz, gap) is None
 
 
 def test_fuel_exhaustion_is_an_error_not_a_verdict(z):
     # Z is two-ended: the one-ended connectivity target can never certify
     # V = {0}, and no finite component exists either, so only exhaustion fits
     with pytest.raises(FuelExhausted):
-        decide_no_finite_component_one_end(z, [z_index(z, 0)], Fuel(3_000))
+        one_ended(z, 3_000).no_finite_component([z_index(z, 0)])

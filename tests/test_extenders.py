@@ -1,35 +1,35 @@
-"""Right-/bi-extensible states and the steered extension step."""
+"""Bi-extensible states and the steered extension step."""
 
 from __future__ import annotations
 
 import pytest
 
 from tlaction import (
+    CayleyGraph,
     EndsDecider,
     ExtensibleState,
     Fuel,
+    InvariantError,
     builtin_group,
-    cayley_oracle,
     engine_for,
     extend_to_visit,
     make_bi_extensible,
 )
 from tlaction import extenders
-from tlaction.decidability import is_bi_extensible
-from tlaction.extenders import make_right_extensible
+from tlaction.extenders import state_from_path
 from tlaction.paths import check_jumps
 
 
 @pytest.fixture
 def z2_setup():
-    graph = cayley_oracle(builtin_group("Z2"))
+    graph = CayleyGraph(builtin_group("Z2"))
     dec = EndsDecider(graph, mode="one", fuel=Fuel(10_000_000))
     return graph, dec
 
 
 @pytest.fixture
 def z_setup():
-    graph = cayley_oracle(builtin_group("Z"))
+    graph = CayleyGraph(builtin_group("Z"))
     dec = EndsDecider(graph, mode="two", separator=frozenset({0}), fuel=Fuel(10_000_000))
     return graph, dec
 
@@ -41,32 +41,14 @@ def z_index(graph, n):
 # -- construction -------------------------------------------------------------
 
 
-def test_right_extensible_covers_targets(z2_setup):
-    graph, dec = z2_setup
-    target = graph.numbering.to_index((1,))
-    st = make_right_extensible(graph, dec, 0, target)
-    assert 0 in st.path.image and target in st.path.image
-    assert st.path.first == 0
-    assert st.witness_end not in st.path.image
-    check_jumps(graph, st.path)
-
-
-def test_right_extensible_absorbs_gap(z_setup):
-    graph, dec = z_setup
-    # covering 0 and 2 must absorb 1, else {1} would be a finite component
-    st = make_right_extensible(graph, dec, z_index(graph, 0), z_index(graph, 2))
-    assert z_index(graph, 1) in st.path.image
-
-
 def test_bi_extensible_state(z2_setup):
     graph, dec = z2_setup
     st = make_bi_extensible(graph, dec, 0)
     assert 0 in st.path.image
-    assert st.bi_extensible
     assert st.witness_start != st.witness_end
     assert st.witness_start not in st.path.image
     assert st.witness_end not in st.path.image
-    assert is_bi_extensible(dec, st.path)
+    assert state_from_path(graph, dec, st.path) is not None
     check_jumps(graph, st.path)
 
 
@@ -74,7 +56,7 @@ def test_bi_extensible_on_z(z_setup):
     graph, dec = z_setup
     st = make_bi_extensible(graph, dec, 0)
     assert 0 in st.path.image
-    assert is_bi_extensible(dec, st.path)
+    assert state_from_path(graph, dec, st.path) is not None
 
 
 # -- extension step -----------------------------------------------------------
@@ -95,7 +77,7 @@ def test_extend_visits_target_and_grows(z_setup):
     assert lo1 < lo0 and hi1 > hi0
     for n in range(lo0, hi0 + 1):
         assert ext.path.at(n) == st.path.at(n)
-    assert is_bi_extensible(dec, ext.path)
+    assert state_from_path(graph, dec, ext.path) is not None
     check_jumps(graph, ext.path)
 
 
@@ -115,7 +97,7 @@ def test_extend_on_z2_reaches_far_target(z2_setup):
     target = graph.numbering.to_index((1, 1, 1, 2, 2, 2))  # a^3 b^3
     ext = extend_to_visit(graph, dec, st, target)
     assert target in ext.path.image
-    assert is_bi_extensible(dec, ext.path)
+    assert state_from_path(graph, dec, ext.path) is not None
     check_jumps(graph, ext.path)
 
 
@@ -138,13 +120,18 @@ def test_iterated_extension_nests_and_spreads(z2_setup):
     assert len(set(prev.path.vertices)) == len(prev.path.vertices)
 
 
-def test_extension_requires_bi_extensible(z2_setup):
+def test_state_requires_distinct_unvisited_witnesses(z2_setup):
+    # a state carries two distinct unvisited witnesses, so every state can
+    # be extended
     graph, dec = z2_setup
-    st = make_right_extensible(graph, dec, 0, graph.numbering.to_index((1,)))
-    from tlaction import InvariantError
-
-    with pytest.raises(InvariantError):
-        extend_to_visit(graph, dec, st, 5)
+    st = make_bi_extensible(graph, dec, 0)
+    for start, end in (
+        (st.witness_end, st.witness_end),
+        (st.path.first, st.witness_end),
+        (st.witness_start, st.path.last),
+    ):
+        with pytest.raises(InvariantError):
+            ExtensibleState(path=st.path, witness_end=end, witness_start=start)
 
 
 @pytest.mark.parametrize("group", ["Z", "Z2"])
@@ -161,4 +148,4 @@ def test_exhaustive_fallback_extends(monkeypatch, group, target):
     assert new.lo < old.lo and new.hi > old.hi
     assert new.visits(target)
     check_jumps(eng.graph, new, max_jump=3)
-    assert is_bi_extensible(eng.dec, new)
+    assert state_from_path(eng.graph, eng.dec, new) is not None

@@ -10,15 +10,14 @@ from tlaction import (
     FinitePatch,
     InvariantError,
     ThreePath,
-    concat_paths,
+    distance,
     extend_path,
     invert_path,
-    jump_sizes,
     karaganis_constrained,
     karaganis_path,
     shift_path,
-    singleton_path,
 )
+from tlaction.paths import check_jumps
 
 from oracles import (
     SmallGraph,
@@ -37,6 +36,11 @@ def p4() -> FinitePatch:
     return FinitePatch((0, 1, 2, 3), ((0, 1), (1, 2), (2, 3)))
 
 
+def jumps(patch: FinitePatch, path: ThreePath) -> tuple[int | None, ...]:
+    vs = path.vertices
+    return tuple(distance(patch, a, b) for a, b in zip(vs, vs[1:]))
+
+
 # -- construction: frozen examples --------------------------------------------
 
 
@@ -51,7 +55,7 @@ def test_p4_inner_pair():
     # end, a 3-jump across, back in from the other end
     path = karaganis_constrained(p4(), 1, 2)
     assert tuple(path.vertices) == (1, 0, 3, 2)
-    assert jump_sizes(p4(), path) == (1, 3, 1)
+    assert jumps(p4(), path) == (1, 3, 1)
 
 
 def test_triangle():
@@ -107,7 +111,7 @@ def test_star_graph_center_to_leaf():
 
 
 def test_singleton_and_shift():
-    p = singleton_path(7)
+    p = ThreePath(0, (7,))
     assert p.start == 0 and tuple(p.vertices) == (7,)
     q = shift_path(p, 5)
     assert q.start == 5 and tuple(q.vertices) == (7,)
@@ -128,28 +132,31 @@ def test_invert_two_vertex_domain():
 
 
 def test_concat_reindexing():
-    patch = p4()
+    # extend_path concatenates: the appended path keeps the order of its
+    # vertices, not its indices
     f = ThreePath(0, (0, 1))
     g = ThreePath(5, (3, 2))
-    h = concat_paths(f, g, patch)
-    assert h.start == 0
+    h = extend_path(f, after=g.vertices)
+    assert (h.lo, h.hi) == (0, 3)
     assert tuple(h.vertices) == (0, 1, 3, 2)
-    assert [h.start, h.start + len(h.vertices) - 1] == [0, 3]
+    check_jumps(p4(), h)
 
 
 def test_concat_singletons():
     patch = FinitePatch((0, 1), ((0, 1),))
-    h = concat_paths(singleton_path(0), singleton_path(1), patch)
+    h = extend_path(ThreePath(0, (0,)), after=(1,))
     assert tuple(h.vertices) == (0, 1)
+    check_jumps(patch, h, max_jump=1)
 
 
 def test_concat_rejects_overlap_and_long_jump():
-    patch = p4()
+    # growing a path is concatenation: overlap breaks injectivity, and a
+    # junction jump over 3 fails the jump check
     with pytest.raises(InvariantError):
-        concat_paths(ThreePath(0, (0, 1)), ThreePath(0, (1, 2)), patch)
+        extend_path(ThreePath(0, (0, 1)), after=(1, 2))
     wide = FinitePatch(tuple(range(6)), tuple((k, k + 1) for k in range(5)))
     with pytest.raises(InvariantError):
-        concat_paths(ThreePath(0, (0,)), ThreePath(0, (5,)), wide)
+        check_jumps(wide, extend_path(ThreePath(0, (0,)), after=(5,)))
 
 
 def test_extend_path_both_sides():
@@ -169,10 +176,12 @@ def test_three_path_rejects_repeats():
         ThreePath(0, (1, 2, 1))
 
 
-def test_jump_sizes_and_check():
-    patch = p4()
+def test_check_jumps():
     path = ThreePath(0, (1, 0, 3, 2))
-    assert jump_sizes(patch, path) == (1, 3, 1)
+    check_jumps(p4(), path)
+    with pytest.raises(InvariantError):
+        check_jumps(p4(), path, max_jump=2)
+    check_jumps(p4(), path, max_jump=2, positions=[0, 2])
 
 
 # -- properties ----------------------------------------------------------------
@@ -203,7 +212,6 @@ def test_concat_preserves_validity(seed):
     offset = rng.randrange(cut, min(cut + 3, 8))
     g = ThreePath(9, tuple(range(offset, 8)))
     if offset == cut or offset - (cut - 1) <= 3:
-        h = concat_paths(f, g, chain)
-        sizes = jump_sizes(chain, h)
-        assert all(s <= 3 for s in sizes)
-        assert len(set(h.vertices)) == len(h.vertices)
+        h = extend_path(f, after=g.vertices)
+        assert h.domain == range(0, len(f) + len(g))
+        check_jumps(chain, h)

@@ -24,10 +24,13 @@ from tlaction import (
     hnn_normal_form,
     instance_for,
     inverse_word,
+    power_word,
     z2_z3_instance,
     z2hnn_instance,
     z_subgroup_membership,
 )
+
+from tlaction import stallings
 
 from oracles import brute_cyclic_member
 
@@ -310,6 +313,30 @@ def test_membership_fuel_is_linear_in_word_length():
     w = inverse_word(p + (2,)) + p + (1,)
     assert len(w) == 202
     assert not z_subgroup_membership(free_f2_instance(), w, Fuel(4 * len(w) + 4))
+
+
+@pytest.mark.parametrize(
+    "name, non_member",
+    [("FreeF2", (2, 1)), ("Z2HNN", (1, 2)), ("Z2starZ3", (2, 1))],  # ba, at, ba
+)
+def test_membership_reads_one_normal_form(monkeypatch, name, non_member):
+    inst = instance_for(name)
+    calls = []
+
+    def counted(normal_form):
+        def wrapper(*args):
+            calls.append(args)
+            return normal_form(*args)
+
+        return wrapper
+
+    for fn in ("hnn_normal_form", "amalgam_normal_form"):
+        monkeypatch.setattr(stallings, fn, counted(getattr(stallings, fn)))
+    negative_power = power_word(inst.generator_word, -3)
+    for w, member in ((non_member, False), (negative_power, True)):
+        calls.clear()
+        assert z_subgroup_membership(inst, w, BIG) is member
+        assert len(calls) == 1, w
 
 
 def test_generator_words():
