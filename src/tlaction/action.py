@@ -66,7 +66,7 @@ class ActionEngine:
     ):
         self.oracle = oracle
         self.fuel = fuel if fuel is not None else Fuel(default_fuel())
-        self.numbering = numbering if numbering is not None else canonical_numbering(oracle)
+        self.numbering = numbering if numbering is not None else canonical_numbering(oracle, self.fuel)
         self.graph = CayleyGraph(oracle, self.numbering, self.fuel)
         if mode is None:
             mode = "transitive" if oracle.declared_ends in (1, 2) else "subgroup"

@@ -20,7 +20,7 @@ from functools import cached_property
 from typing import Callable, Iterable, Mapping
 
 from .errors import Fuel, InvariantError
-from .groups import GroupOracle, Numbering, canonical_numbering, word_to_str
+from .groups import GroupOracle, Numbering, canonical_numbering
 
 
 class CayleyGraph:
@@ -39,7 +39,7 @@ class CayleyGraph:
         fuel: Fuel | None = None,
     ):
         self.oracle = oracle
-        self.numbering = numbering if numbering is not None else canonical_numbering(oracle)
+        self.numbering = numbering if numbering is not None else canonical_numbering(oracle, fuel)
         self.fuel = fuel
         self._cache: dict[int, tuple[int, ...]] = {}
 
@@ -58,16 +58,6 @@ class CayleyGraph:
         result = tuple(sorted(seen))
         self._cache[v] = result
         return result
-
-    def degree(self, v: int) -> int:
-        return len(self.neighbors(v))
-
-    def adjacent(self, u: int, v: int) -> bool:
-        return u in self.neighbors(v)
-
-    def label(self, v: int) -> str:
-        """Human-readable label: the canonical word at index ``v``."""
-        return word_to_str(self.numbering.to_word(v), self.oracle.generator_names)
 
 
 # ---------------------------------------------------------------------------
@@ -222,9 +212,6 @@ class FinitePatch:
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self._adj[v]
-
-    def degree(self, v: int) -> int:
-        return len(self._adj[v])
 
     def adjacent(self, u: int, v: int) -> bool:
         return v in self._adj[u]

@@ -17,10 +17,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from fractions import Fraction
+from itertools import islice
 from typing import Callable, Hashable, Iterable
 
-from .errors import ConfigError
+from .errors import ConfigError, Fuel
 
 Word = tuple[int, ...]
 
@@ -243,20 +243,35 @@ def _z2_z_len(word: Word) -> int:
     return sum(1 if sym == "a" else abs(exp) for sym, exp in _z2_z_key(word))
 
 
-def _bs12_key(word: Word) -> tuple:
+def _bs12_key(word: Word) -> tuple[int, int, int]:
     """Exponent tracking in BS(1,2) = <a, t | t a t^-1 = a^2>.
 
     Elements are pairs (x, n) with x a dyadic rational and n an integer:
-    a = (1, 0), t = (0, 1) and (x, n)(y, m) = (x + 2^n y, n + m).
+    a = (1, 0), t = (0, 1) and (x, n)(y, m) = (x + 2^n y, n + m).  The key
+    is (p, s, n) with x = p / 2^s in lowest terms (p odd or s = 0), so two
+    words get equal keys exactly when they spell the same element.
     """
-    x = Fraction(0)
-    n = 0
+    p = s = n = 0
     for lt in word:
-        if abs(lt) == 1:
-            x += Fraction(2) ** n if lt > 0 else -(Fraction(2) ** n)
+        if lt == 1 or lt == -1:
+            # x + lt*2^n = (p + lt*2^(n+s)) / 2^s
+            shift = n + s
+            if shift > 0:
+                p += lt << shift  # adds an even number: p stays odd if s > 0
+            elif shift < 0:
+                p = (p << -shift) + lt  # rewritten over 2^-n, now odd
+                s = -n
+            else:
+                p += lt
+                if p == 0:
+                    s = 0
+                elif s:
+                    tz = min((p & -p).bit_length() - 1, s)
+                    p >>= tz
+                    s -= tz
         else:
             n += 1 if lt > 0 else -1
-    return (x, n)
+    return (p, s, n)
 
 
 def _free_len(word: Word) -> int:
@@ -393,6 +408,21 @@ def _zd_len(d: int) -> Callable[[Word], int]:
     return length
 
 
+def _z_index(word: Word) -> int:
+    """Shortlex index in Z: a^k is 2k - 1 and a^-k is 2k."""
+    up, down = word.count(1), word.count(-1)
+    if up + down != len(word):
+        raise ConfigError(f"word {word!r} has a letter other than a, a^-1")
+    x = up - down
+    return 2 * x - 1 if x > 0 else -2 * x
+
+
+def _z_word(n: int) -> Word:
+    if n < 0:
+        raise ValueError(f"index must be a natural number, got {n}")
+    return (1,) * ((n + 1) // 2) if n % 2 else (-1,) * (n // 2)
+
+
 def _wp_from_key(key: Callable[[Word], Hashable]) -> Callable[[Word], bool]:
     identity = key(EPSILON)
 
@@ -425,7 +455,6 @@ def _zd_oracle(d: int, names: tuple[str, ...] | None = None) -> GroupOracle:
         cert = EndsCertificate(
             separator=(EPSILON,), side_a=((1,),), side_b=((-1,),)
         )
-    lang = _free_language(1) if d == 1 else None
     return GroupOracle(
         name="Z" if d == 1 else f"Z{d}",
         generator_names=tuple(names),
@@ -434,8 +463,8 @@ def _zd_oracle(d: int, names: tuple[str, ...] | None = None) -> GroupOracle:
         ends_certificate=cert,
         normal_key=key,
         reduced_length=_zd_len(d),
-        fast_index=lang.index_of if lang else None,
-        fast_word=lang.word_of if lang else None,
+        fast_index=_z_index if d == 1 else None,
+        fast_word=_z_word if d == 1 else None,
     )
 
 
@@ -616,10 +645,15 @@ class Numbering:
     With a ``normal_key`` on the oracle, deduplication is a hash lookup;
     otherwise each candidate runs a bounded search over the already
     enumerated canonical words of compatible length using ``wp`` alone.
+
+    With ``fuel``, each level ticks its candidate count before it is built,
+    and on the ``wp``-only path every enumerated word a search compares
+    against ticks one step; running out leaves only whole levels behind.
     """
 
-    def __init__(self, oracle: GroupOracle):
+    def __init__(self, oracle: GroupOracle, fuel: Fuel | None = None):
         self.oracle = oracle
+        self.fuel = fuel
         self._words: list[Word] = [EPSILON]
         self._level_start = [0, 1]  # _words[_level_start[L]: _level_start[L+1]] has length L
         if oracle.normal_key is not None:
@@ -635,34 +669,43 @@ class Numbering:
         letters = oracle.letters
         lo, hi = self._level_start[-2], self._level_start[-1]
         parents = self._words[lo:hi]
+        if self.fuel is not None:
+            self.fuel.tick(len(parents) * len(letters))
+        level: list[Word] = []
         for parent in parents:
             for lt in letters:
                 cand = parent + (lt,)
                 if self._by_key is not None:
                     key = oracle.normal_key(cand)  # type: ignore[misc]
                     if key not in self._by_key:
-                        self._by_key[key] = len(self._words)
-                        self._words.append(cand)
-                else:
-                    if not self._wp_seen(cand):
-                        self._words.append(cand)
+                        self._by_key[key] = hi + len(level)
+                        level.append(cand)
+                elif not self._wp_seen(cand, level):
+                    level.append(cand)
+        self._words.extend(level)
         self._level_start.append(len(self._words))
 
-    def _wp_seen(self, cand: Word) -> bool:
+    def _wp_seen(self, cand: Word, level: list[Word]) -> bool:
         """wp-only deduplication: is cand's element already enumerated?
 
         A candidate has length L = len(parent) + 1 and its element has
         geodesic length at least L - 2, so only canonical words of length
-        L-2, L-1 and the current level can collide with it.
+        L-2, L-1 and the current ``level`` can collide with it.
         """
+        lo = self._level_start[max(0, len(cand) - 2)]
+        return self._wp_find(self._words[lo:] + level, cand) is not None
+
+    def _wp_find(self, words: Iterable[Word], word: Word) -> int | None:
+        """Position of the first of ``words`` spelling ``word``'s element, by ``wp``."""
         wp = self.oracle.wp
-        inv = inverse_word(cand)
-        L = len(cand)
-        lo = self._level_start[max(0, L - 2)]
-        for prev in self._words[lo:]:
+        fuel = self.fuel
+        inv = inverse_word(word)
+        for i, prev in enumerate(words):
+            if fuel is not None:
+                fuel.tick()
             if wp(concat_words(prev, inv)):
-                return True
-        return False
+                return i
+        return None
 
     def _grown_to_index(self, n: int) -> None:
         while len(self._words) <= n:
@@ -707,26 +750,24 @@ class Numbering:
                     "from its own shortlex ball"
                 )
             return idx
-        wp = self.oracle.wp
-        inv = inverse_word(word)
-        limit = self._level_start[len(word) + 1]
-        for idx in range(limit):
-            if wp(concat_words(self._words[idx], inv)):
-                return idx
-        raise ConfigError(
-            "word problem oracle is inconsistent: element missing from its "
-            "own shortlex ball"
-        )
+        idx = self._wp_find(islice(self._words, self._level_start[len(word) + 1]), word)
+        if idx is None:
+            raise ConfigError(
+                "word problem oracle is inconsistent: element missing from its "
+                "own shortlex ball"
+            )
+        return idx
 
     def known_count(self) -> int:
         """How many canonical words have been enumerated so far."""
         return len(self._words)
 
 
-def canonical_numbering(oracle: GroupOracle) -> Numbering:
+def canonical_numbering(oracle: GroupOracle, fuel: Fuel | None = None) -> Numbering:
     """The canonical shortlex numbering of ``oracle``'s elements.
 
     A word is canonical iff it is the shortlex-least word in its
     wp-equivalence class; ``to_word(n)`` is the n-th canonical word.
+    ``fuel``, when given, meters the enumeration (see :class:`Numbering`).
     """
-    return Numbering(oracle)
+    return Numbering(oracle, fuel)

@@ -131,6 +131,24 @@ def bs12_element(word):
     return (x, n)
 
 
+def bs12_ball_elements(max_len: int):
+    """Every word over a, a^-1, t, t^-1 of length <= max_len, in shortlex
+    order, paired with its :func:`bs12_element`, each computed from its
+    prefix's element by one multiplication."""
+    out = [((), (Fraction(0), 0))]
+    level = out[:]
+    for _ in range(max_len):
+        nxt = []
+        for w, (x, n) in level:
+            nxt.append((w + (1,), (x + Fraction(2) ** n, n)))
+            nxt.append((w + (-1,), (x - Fraction(2) ** n, n)))
+            nxt.append((w + (2,), (x, n + 1)))
+            nxt.append((w + (-2,), (x, n - 1)))
+        out.extend(nxt)
+        level = nxt
+    return out
+
+
 # ---------------------------------------------------------------------------
 # brute-force cyclic-subgroup membership
 # ---------------------------------------------------------------------------

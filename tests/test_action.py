@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 
@@ -12,6 +13,7 @@ from tlaction import (
     Fuel,
     FuelExhausted,
     builtin_group,
+    canonical_numbering,
     engine_for,
 )
 from tlaction.graph import distance
@@ -216,3 +218,25 @@ def test_bs12_engine_runs_transitively():
     assert eng.act(0, 0) == 0
     v = eng.act(0, 1)
     assert distance(eng.graph, 0, v, cap=3) is not None
+
+
+def test_bs12_fuel_bounds_numbering_levels():
+    # stage 51 enters numbering level 13; under this budget the level's
+    # candidates are refused before any is built, so the error comes fast
+    eng = engine_for("BS12", Fuel(75_000))
+    start = time.perf_counter()
+    with pytest.raises(FuelExhausted):
+        eng.build_stage(80)
+    assert time.perf_counter() - start < 2.0
+    num = eng.numbering
+    known = num.known_count()
+    fresh = canonical_numbering(builtin_group("BS12"))
+    for n in range(known):
+        w = num.to_word(n)
+        assert w == fresh.to_word(n) and num.to_index(w) == n
+
+
+def test_bs12_stage_72_numbering_size():
+    eng = engine_for("BS12", Fuel(50_000_000))
+    eng.build_stage(72)
+    assert eng.numbering.known_count() == 23_647

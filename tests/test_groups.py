@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import dataclasses
 import random
+from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,8 @@ from hypothesis import strategies as st
 from tlaction import (
     ConfigError,
     EndsCertificate,
+    Fuel,
+    FuelExhausted,
     GroupOracle,
     Numbering,
     builtin_group,
@@ -26,7 +30,7 @@ from tlaction import (
 )
 from tlaction.groups import EPSILON
 
-from oracles import bs12_element, free_reduce, z2z3_reduce, z2z_reduce
+from oracles import bs12_ball_elements, bs12_element, free_reduce, z2z3_reduce, z2z_reduce
 
 BUILTINS = ("Z", "Z2", "Z3", "FreeF2", "Z2starZ3", "Z2HNN", "BS12")
 
@@ -229,6 +233,79 @@ def test_fast_index_handles_unreduced_spellings(rng):
             w = _random_word(rng, oracle, 8)
             padded = concat_words(w, (1, -1))  # trivial in every builtin
             assert num.to_index(padded) == num.to_index(w), (name, w)
+
+
+def _bs12_key_value(key):
+    p, s, n = key
+    assert s >= 0 and (p % 2 == 1 or s == 0) and (p != 0 or s == 0), key
+    return (Fraction(p, 1 << s), n)
+
+
+def test_bs12_key_matches_fraction_reference_on_ball():
+    key = builtin_group("BS12").normal_key
+    balls = bs12_ball_elements(8)
+    assert len(balls) == 87_381
+    pairs = set()
+    for w, element in balls:
+        k = key(w)
+        assert _bs12_key_value(k) == element, w
+        pairs.add((k, element))
+    # equal keys exactly when equal elements
+    assert len(pairs) == len({k for k, _ in pairs}) == len({e for _, e in pairs})
+
+
+def test_bs12_key_matches_fraction_reference_far(rng):
+    key = builtin_group("BS12").normal_key
+    relator = (2, 1, -2, -1, -1)  # t a t^-1 a^-2
+    for _ in range(300):
+        w = []
+        for _ in range(rng.randrange(1, 12)):
+            w.extend((rng.choice((2, -2)),) * rng.randrange(41))
+            w.extend((rng.choice((1, -1)),) * rng.randrange(4))
+        w = tuple(w)
+        assert _bs12_key_value(key(w)) == bs12_element(w), w
+        cut = rng.randrange(len(w) + 1)
+        assert key(w[:cut] + relator + w[cut:]) == key(w)
+        u = _random_word(rng, builtin_group("BS12"), 30)
+        assert (key(u) == key(w)) == (bs12_element(u) == bs12_element(w))
+
+
+def test_z_closed_form_matches_enumeration():
+    oracle = builtin_group("Z")
+    slow = Numbering(dataclasses.replace(oracle, fast_index=None, fast_word=None))
+    for length in range(13):
+        for w in product((1, -1), repeat=length):
+            assert oracle.fast_index(w) == slow.to_index(w), w
+    for n in range(slow.known_count()):
+        assert oracle.fast_word(n) == slow.to_word(n), n
+    with pytest.raises(ConfigError):
+        oracle.fast_index((1, 2))
+    with pytest.raises(ValueError):
+        oracle.fast_word(-1)
+
+
+def test_metered_numbering_leaves_whole_levels():
+    # wp-only path: candidates and the words each search scans tick fuel
+    plain = dataclasses.replace(
+        builtin_group("Z2"), normal_key=None, fast_index=None, fast_word=None
+    )
+    fresh = Numbering(plain)
+    for budget in (10, 500, 3_000):
+        fuel = Fuel(budget)
+        num = Numbering(plain, fuel)
+        with pytest.raises(FuelExhausted):
+            num.to_word(200)
+        assert fuel.consumed > budget
+        known = num.known_count()
+        assert known in (1, 5, 13, 25, 41, 61, 85, 113)  # whole balls of Z2
+        assert [num.to_word(n) for n in range(known)] == [
+            fresh.to_word(n) for n in range(known)
+        ]
+    # keyed path: each level ticks its candidates once, before it is built
+    fuel = Fuel(10**6)
+    num = canonical_numbering(builtin_group("Z2"), fuel)
+    num.to_word(12)  # levels 1 and 2: 1*4 + 4*4 candidates
+    assert fuel.consumed == 20
 
 
 @settings(max_examples=100)
