@@ -1,5 +1,6 @@
-"""Goldens: the realized stage paths, act tables, verify checks and the
-normal forms of short words in the shipped cyclic-subgroup instances.
+"""Goldens: the realized stage paths, act tables, verify checks, the
+normal forms of short words in the shipped cyclic-subgroup instances, and
+the orbit positions and period-3 overlay of their radius-4 balls.
 
 Each digest is the SHA-256 of a canonical ``repr`` of values the package
 computes.  They pin that a refactor of the construction keeps every
@@ -21,9 +22,13 @@ from tlaction import (
     Fuel,
     HnnData,
     amalgam_normal_form,
+    ball,
     engine_for,
     hnn_normal_form,
     instance_for,
+    orbit_positions,
+    period3_segment,
+    psi_map,
     report_to_json,
     run_suite,
     z_subgroup_membership,
@@ -55,6 +60,21 @@ NORMAL_FORM_DIGESTS = {
     "FreeF2": "60d8d9bbc1397b4624d871fbf6af4c8fd5891ea5db01f3c1bd0aa21833519c63",
     "Z2HNN": "568e25599a2aa74fba2b5e49433e6c4b822cceccf65fc121bb87292bb19a3761",
     "Z2starZ3": "e1bfa366d5f7c1b0d90066019f7cd08549df852b7b4162b59976f4539894ef04",
+}
+
+# subgroup mode on the ball of radius ORBIT_RADIUS: every vertex's orbit
+# position, and psi_map of the period-3 point with phase OVERLAY_SHIFT
+ORBIT_RADIUS = 4
+OVERLAY_SHIFT = 1
+ORBIT_POSITION_DIGESTS = {
+    "FreeF2": "3363bc16871a1d68ada9e2b12cb22adc97e72da7bb32298d03ae3d66e72f9dbf",
+    "Z2HNN": "7d368c478555ad0dc3fa31458525bdb4aab450d012a3a48eb0a31b3ab288c830",
+    "Z2starZ3": "5c9f0ba82a90f920e8a53a172dacf93b2244d0df8c2584eff774582cacbd50b6",
+}
+PSI_MAP_DIGESTS = {
+    "FreeF2": "ab456a6f12d6a675deef66efcd533f57cf885cd91a0bd9b720f9dfc24e7d14f9",
+    "Z2HNN": "29586132559748a58a52407cd0e9da89c01dc3dadd56219732612da59ebfcfec",
+    "Z2starZ3": "d87a42965817d90d671166a42d2d2dfee5bae769dc3c0c4ad7408c1c93156717",
 }
 
 
@@ -117,3 +137,23 @@ def test_normal_forms_golden(name):
     ]
     assert len(rows) == 1365
     assert _digest(rows) == NORMAL_FORM_DIGESTS[name]
+
+
+def _subgroup_ball(name: str):
+    engine = engine_for(name, Fuel(10**12))
+    return engine, sorted(ball(engine.graph, 0, ORBIT_RADIUS))
+
+
+@pytest.mark.parametrize("name", sorted(ORBIT_POSITION_DIGESTS))
+def test_orbit_positions_golden(name):
+    engine, region = _subgroup_ball(name)
+    positions = orbit_positions(engine, region)
+    assert _digest(sorted(positions.items())) == ORBIT_POSITION_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(PSI_MAP_DIGESTS))
+def test_psi_map_golden(name):
+    engine, region = _subgroup_ball(name)
+    z = period3_segment(-2 * ORBIT_RADIUS, 2 * ORBIT_RADIUS, shift=OVERLAY_SHIFT)
+    patch = psi_map(engine, z, region)
+    assert _digest([(g, patch.values[g]) for g in patch.domain]) == PSI_MAP_DIGESTS[name]
