@@ -11,7 +11,9 @@ Two modes realize the action v ∗ n:
 
 * **subgroup** (many-ended groups): v ∗ n is the vertex named by
   word(v)·cⁿ for a designated infinite-order word c whose cyclic subgroup
-  has decidable membership; orbits are the right cosets v⟨c⟩.
+  has decidable membership; orbits are the right cosets v⟨c⟩.  One
+  normal form of word(v) names v's orbit and v's position along it
+  (:meth:`ActionEngine.orbit_key`).
 
 The engine is stateful: the stage cache only grows.  Interleaved calls
 from several threads require external synchronization; after a
@@ -22,7 +24,6 @@ the engine may be handed off to another thread.
 from __future__ import annotations
 
 import itertools
-from typing import Callable
 
 from .decidability import EndsDecider
 from .errors import ConfigError, Fuel, InvariantError, default_fuel
@@ -36,7 +37,6 @@ from .graph import CayleyGraph, ball, distance
 from .groups import (
     GroupOracle,
     Numbering,
-    Word,
     builtin_group,
     canonical_numbering,
     concat_words,
@@ -44,7 +44,13 @@ from .groups import (
     power_word,
 )
 from .paths import ThreePath
-from .stallings import instance_for, z_subgroup_membership
+from .stallings import (
+    HnnData,
+    ZSubgroupInstance,
+    instance_for,
+    split_generator_power,
+    z_subgroup_membership,
+)
 
 
 class ActionEngine:
@@ -61,8 +67,7 @@ class ActionEngine:
         numbering: Numbering | None = None,
         fuel: Fuel | None = None,
         mode: str | None = None,
-        subgroup_word: Word | None = None,
-        membership: Callable[[Word], bool] | None = None,
+        instance: ZSubgroupInstance | None = None,
     ):
         self.oracle = oracle
         self.fuel = fuel if fuel is not None else Fuel(default_fuel())
@@ -93,14 +98,21 @@ class ActionEngine:
             else:
                 self.dec = EndsDecider(self.graph, mode="one", fuel=self.fuel)
         else:
-            if subgroup_word is None or membership is None:
+            if instance is None:
                 raise ConfigError(
-                    "subgroup mode needs a designated infinite-order word and a "
-                    "membership decision procedure for its cyclic subgroup"
+                    "subgroup mode needs an extension instance with a designated "
+                    "infinite cyclic subgroup (see instance_for)"
                 )
             self.dec = None
-            self._c = subgroup_word
-            self._membership = membership
+            self.instance = instance
+            self._c = instance.generator_word
+            # The orbit key's candidates p·c^j (see orbit_key).  Over trivial
+            # associated subgroups an element's length is the sum of its
+            # syllables' lengths, so in an HNN extension p·t^j is longer than
+            # p for every j != 0.  In an amalgam a shorter element can sit
+            # one step away: b's orbit holds a = b·(ab)⁻¹, and x·b·a's holds
+            # x·b⁻¹ = x·b·a·(ab) in Z2 * Z3.
+            self._key_window = (0,) if isinstance(instance.data, HnnData) else (-1, 0, 1)
 
     # -- transitive-mode stage construction --------------------------------
 
@@ -224,7 +236,29 @@ class ActionEngine:
         w = concat_words(
             inverse_word(self.numbering.to_word(u)), self.numbering.to_word(v)
         )
-        return self._membership(w)
+        return z_subgroup_membership(self.instance, w, self.fuel)
+
+    def orbit_key(self, v: int) -> tuple[int, int]:
+        """(rep, n) with v = rep ∗ n and rep the least-index vertex of v's
+        orbit.
+
+        Transitive mode has one orbit, named by vertex 0, and n is v's path
+        position relative to vertex 0's.  Subgroup mode reads the key off
+        one normal form of word(v): stripping its trailing c-syllables
+        writes word(v) = p·cᵐ, and rep is the least index among p·c^j for j
+        in a small window.  The window holds the least element of p⟨c⟩ over
+        trivial associated subgroups, as in the shipped instances (tests
+        check every vertex of a ball); over others v = rep ∗ n still holds,
+        but rep need not be least.
+        """
+        if self.mode == "transitive":
+            return 0, self.ensure_visited(v) - self.ensure_visited(0)
+        prefix, m = split_generator_power(self.instance, self.numbering.to_word(v), self.fuel)
+        rep, j = min(
+            (self.numbering.to_index(concat_words(prefix, power_word(self._c, j))), j)
+            for j in self._key_window
+        )
+        return rep, m - j
 
     def orbit_representatives(self, count: int) -> tuple[int, ...]:
         """The first ``count`` orbit representatives: vertex 0, then
@@ -238,7 +272,7 @@ class ActionEngine:
         index = 0
         while len(reps) < count:
             self.fuel.tick()
-            if all(not self.same_orbit(rep, index) for rep in reps):
+            if self.orbit_key(index)[0] == index:
                 reps.append(index)
             index += 1
         return tuple(reps)
@@ -252,10 +286,4 @@ def engine_for(group: str | GroupOracle, fuel: Fuel | None = None) -> ActionEngi
     fuel = fuel if fuel is not None else Fuel(default_fuel())
     if oracle.declared_ends in (1, 2):
         return ActionEngine(oracle, fuel=fuel)
-    inst = instance_for(oracle.name)
-    return ActionEngine(
-        oracle,
-        fuel=fuel,
-        subgroup_word=inst.generator_word,
-        membership=lambda w: z_subgroup_membership(inst, w, fuel),
-    )
+    return ActionEngine(oracle, fuel=fuel, instance=instance_for(oracle.name))

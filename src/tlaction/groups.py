@@ -120,9 +120,8 @@ class GroupOracle:
     ``wp(word)`` decides whether a word represents the identity; it is the
     semantic authority.  ``normal_key``, when present, maps a word to a
     hashable canonical form of the element it spells (used to make element
-    deduplication fast; ``wp`` remains the contract).  ``reduced_length``,
-    when present, returns the geodesic length of the element spelled by a
-    word.  Instances are immutable and safe to share between threads.
+    deduplication fast; ``wp`` remains the contract).  Instances are
+    immutable and safe to share between threads.
     """
 
     name: str
@@ -131,7 +130,6 @@ class GroupOracle:
     declared_ends: int | str  # 1, 2, or "many"
     ends_certificate: EndsCertificate | None = None
     normal_key: Callable[[Word], Hashable] | None = None
-    reduced_length: Callable[[Word], int] | None = None
     # Optional closed-form evaluation of the canonical shortlex numbering:
     # fast_index(word) is the index of the element spelled by word, and
     # fast_word(n) the n-th canonical word.  Both must agree with the lazy
@@ -215,10 +213,6 @@ def _z2_z3_key(word: Word) -> tuple:
     return tuple(stack)
 
 
-def _z2_z3_len(word: Word) -> int:
-    return len(_z2_z3_key(word))
-
-
 def _z2_z_key(word: Word) -> tuple:
     """Normal form in <a, t | a^2>: alternating a-letters and t^k blocks."""
     stack: list[tuple[str, int]] = []
@@ -237,10 +231,6 @@ def _z2_z_key(word: Word) -> tuple:
             else:
                 stack.append(("t", exp))
     return tuple(stack)
-
-
-def _z2_z_len(word: Word) -> int:
-    return sum(1 if sym == "a" else abs(exp) for sym, exp in _z2_z_key(word))
 
 
 def _bs12_key(word: Word) -> tuple[int, int, int]:
@@ -272,10 +262,6 @@ def _bs12_key(word: Word) -> tuple[int, int, int]:
         else:
             n += 1 if lt > 0 else -1
     return (p, s, n)
-
-
-def _free_len(word: Word) -> int:
-    return len(_free_key(word))
 
 
 class _PairLanguageIndex:
@@ -399,15 +385,6 @@ def _z2_z_language() -> _PairLanguageIndex:
     return _PairLanguageIndex((1, 2, -2), allowed, _z2_z_canonical)
 
 
-def _zd_len(d: int) -> Callable[[Word], int]:
-    key = _zd_key(d)
-
-    def length(word: Word) -> int:
-        return sum(abs(c) for c in key(word))
-
-    return length
-
-
 def _z_index(word: Word) -> int:
     """Shortlex index in Z: a^k is 2k - 1 and a^-k is 2k."""
     up, down = word.count(1), word.count(-1)
@@ -462,7 +439,6 @@ def _zd_oracle(d: int, names: tuple[str, ...] | None = None) -> GroupOracle:
         declared_ends=ends,
         ends_certificate=cert,
         normal_key=key,
-        reduced_length=_zd_len(d),
         fast_index=_z_index if d == 1 else None,
         fast_word=_z_word if d == 1 else None,
     )
@@ -476,7 +452,6 @@ def _free_f2_oracle() -> GroupOracle:
         wp=_wp_from_key(_free_key),
         declared_ends="many",
         normal_key=_free_key,
-        reduced_length=_free_len,
         fast_index=lang.index_of,
         fast_word=lang.word_of,
     )
@@ -490,7 +465,6 @@ def _z2_star_z3_oracle() -> GroupOracle:
         wp=_wp_from_key(_z2_z3_key),
         declared_ends="many",
         normal_key=_z2_z3_key,
-        reduced_length=_z2_z3_len,
         fast_index=lang.index_of,
         fast_word=lang.word_of,
     )
@@ -504,7 +478,6 @@ def _z2_hnn_oracle() -> GroupOracle:
         wp=_wp_from_key(_z2_z_key),
         declared_ends="many",
         normal_key=_z2_z_key,
-        reduced_length=_z2_z_len,
         fast_index=lang.index_of,
         fast_word=lang.word_of,
     )
@@ -622,7 +595,6 @@ def group_from_config(config: dict | str) -> GroupOracle:
         declared_ends=ends,
         ends_certificate=cert,
         normal_key=base.normal_key,
-        reduced_length=base.reduced_length,
         fast_index=base.fast_index,
         fast_word=base.fast_word,
     )

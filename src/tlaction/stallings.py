@@ -15,6 +15,7 @@ an input hypothesis, never derived from the normal-form routine itself.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import ConfigError, Fuel, InvariantError, default_fuel
 from .groups import (
@@ -46,17 +47,12 @@ def cyclic_group(order: int, generator: str = "a") -> GroupOracle:
     def wp(word: Word) -> bool:
         return key(word) == 0
 
-    def reduced_length(word: Word) -> int:
-        k = key(word)
-        return min(k, order - k)
-
     return GroupOracle(
         name=f"C{order}",
         generator_names=(generator,),
         wp=wp,
         declared_ends=0,
         normal_key=key,
-        reduced_length=reduced_length,
     )
 
 
@@ -134,6 +130,12 @@ class HnnData:
     def to_extension(self, base_word: Word) -> Word:
         return _letters_of(self.base_letter_map, base_word)
 
+    @cached_property
+    def numbering(self) -> Numbering:
+        """The base's numbering, built once per instance; each normal form
+        meters the levels it grows with its own fuel."""
+        return canonical_numbering(self.base)
+
 
 @dataclass(frozen=True)
 class AmalgamData:
@@ -163,6 +165,12 @@ class AmalgamData:
 
     def right_to_extension(self, word: Word) -> Word:
         return _letters_of(self.right_letter_map, word)
+
+    @cached_property
+    def numberings(self) -> tuple[Numbering, Numbering]:
+        """The two factors' numberings, built once per instance; each
+        normal form meters the levels it grows with its own fuel."""
+        return canonical_numbering(self.left), canonical_numbering(self.right)
 
 
 @dataclass(frozen=True)
@@ -199,7 +207,7 @@ def coset_representatives(
     returned.
     """
     fuel = fuel if fuel is not None else Fuel(default_fuel())
-    numbering = canonical_numbering(oracle)
+    numbering = canonical_numbering(oracle, fuel)
     reps: list[Word] = []
     index = 0
     while len(reps) < count:
@@ -231,6 +239,12 @@ def _canonical(numbering: Numbering, w: Word) -> Word:
     return numbering.to_word(numbering.to_index(w))
 
 
+def _metered(numbering: Numbering, fuel: Fuel) -> Numbering:
+    """An instance's cached numbering, charging the levels it grows to ``fuel``."""
+    numbering.fuel = fuel
+    return numbering
+
+
 def _signed_inverse(letter_map: dict[int, int]) -> dict[int, int]:
     """Extension letter (either sign) -> factor letter."""
     return {sign * ext_lt: sign * lt for lt, ext_lt in letter_map.items() for sign in (1, -1)}
@@ -251,13 +265,14 @@ def hnn_normal_form(d: HnnData, w: Word, fuel: Fuel | None = None) -> NormalForm
     h0; a letter t^e splits h0 = s·r over B (e = +1) or A (e = -1), moves
     s across t^e into the other subgroup, and either cancels against an
     opposite stable letter (r trivial: a pinch) or opens a new syllable.
-    One fuel step per letter.
+    One fuel step per letter; the base numbering's new levels tick ``fuel``
+    too.
     """
     fuel = fuel if fuel is not None else Fuel(default_fuel())
     ext = d.extension
     t = d.stable_letter
     base_letters = _signed_inverse(d.base_letter_map)
-    numbering = canonical_numbering(d.base)
+    numbering = _metered(d.numbering, fuel)
     head: Word = EPSILON
     stack: list[tuple[int, Word]] = []  # (e_i, h_i), leftmost syllable last
     for lt in reversed(w):
@@ -293,7 +308,8 @@ def amalgam_normal_form(d: AmalgamData, w: Word, fuel: Fuel | None = None) -> No
     letter of one factor multiplies the amalgamated head (and the leftmost
     syllable when that lies in the same factor), and the product splits
     into a subgroup element, the new head, and a representative, a new
-    syllable unless trivial.  One fuel step per letter.
+    syllable unless trivial.  One fuel step per letter; the factor
+    numberings' new levels tick ``fuel`` too.
     """
     fuel = fuel if fuel is not None else Fuel(default_fuel())
     factors = (d.left, d.right)
@@ -304,7 +320,7 @@ def amalgam_normal_form(d: AmalgamData, w: Word, fuel: Fuel | None = None) -> No
         for side, letter_map in enumerate((d.left_letter_map, d.right_letter_map))
         for ext_lt, lt in _signed_inverse(letter_map).items()
     }
-    numberings = tuple(map(canonical_numbering, factors))
+    numberings = tuple(_metered(n, fuel) for n in d.numberings)
     head = next(i for i, (a, _) in enumerate(d.iso) if d.left.wp(a))  # index into iso
     stack: list[tuple[int, Word]] = []  # (side, c_i), leftmost syllable last
     for lt in reversed(w):
@@ -399,6 +415,35 @@ def z_subgroup_membership(
     if syllables % 2 != 0:
         return False
     return d.extension.equal(w, power_word(inst.generator_word, -(syllables // 2)))
+
+
+def split_generator_power(
+    inst: ZSubgroupInstance, w: Word, fuel: Fuel | None = None
+) -> tuple[Word, int]:
+    """(p, n) with w = p·cⁿ for the designated generator c, read off the
+    one normal form of w: its trailing run of syllable pairs whose product
+    is c or c⁻¹ — (t^±1, 1) for an HNN extension, (u, v) and (v⁻¹, u⁻¹)
+    for an amalgam — is stripped, each pair counting ±1 in n, and p is the
+    product of the parts left.
+    """
+    fuel = fuel if fuel is not None else Fuel(default_fuel())
+    d = inst.data
+    if isinstance(d, HnnData):
+        nf = hnn_normal_form(d, w, fuel)
+    else:
+        nf = amalgam_normal_form(d, w, fuel)
+    c = inst.generator_word
+    powers = ((c, 1), (inverse_word(c), -1))
+    parts = list(nf.parts)
+    n = 0
+    while len(parts) >= 3:  # keep h0 (HNN) or c0 (amalgam)
+        pair = concat_words(parts[-2], parts[-1])
+        e = next((e for power, e in powers if d.extension.equal(pair, power)), 0)
+        if e == 0:
+            break
+        del parts[-2:]
+        n += e
+    return concat_words(*parts), n
 
 
 # ---------------------------------------------------------------------------

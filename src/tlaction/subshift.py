@@ -357,52 +357,14 @@ def phi_map(graph: CayleyGraph, patch: PatternPatch) -> Segment:
     return Segment(-len(left), (*reversed(left), center, *sides[1]))
 
 
-def _orbit_position(engine, rep: int, g: int) -> int:
-    """The integer ``n`` with ``rep * n = g`` for a subgroup-mode engine."""
-    if engine.act(rep, 0) == g:
-        return 0
-    u = engine.numbering.to_word(rep)
-    w = engine.numbering.to_word(g)
-    bound = len(u) + len(w)
-    shift = concat_words(inverse_word(u), w)
-    if engine.oracle.reduced_length is not None:
-        bound = engine.oracle.reduced_length(shift)
-    for n in range(1, bound + 1):
-        if engine.act(rep, n) == g:
-            return n
-        if engine.act(rep, -n) == g:
-            return -n
-    raise InvariantError(
-        f"vertices {rep} and {g} share an orbit but no exponent of magnitude "
-        f"<= {bound} connects them"
-    )
-
-
 def orbit_positions(engine, region: Iterable[int]) -> dict[int, int]:
     """Each region vertex's integer position along its own orbit.
 
-    Vertex ``g`` maps to the ``n`` with ``rep * n = g``, where ``rep`` is
-    the least-index vertex in ``g``'s orbit (the identity's position is 0).
+    Vertex ``g`` maps to the ``n`` of its orbit key: ``g = rep * n``, where
+    ``rep`` is the least-index vertex in ``g``'s orbit (the identity's
+    position is 0).
     """
-    domain = tuple(sorted(set(region)))
-    positions: dict[int, int] = {}
-    if engine.mode == "transitive":
-        base = engine.ensure_visited(0)
-        for g in domain:
-            positions[g] = engine.ensure_visited(g) - base
-    else:
-        known_reps: list[int] = []
-        for g in domain:
-            rep = next((r for r in known_reps if engine.same_orbit(r, g)), None)
-            if rep is None:
-                # no placed u is in g's orbit: the representative of a
-                # placed vertex's orbit is already among known_reps
-                rep = next(
-                    u for u in range(g + 1) if u not in positions and engine.same_orbit(u, g)
-                )
-                known_reps.append(rep)
-            positions[g] = _orbit_position(engine, rep, g)
-    return positions
+    return {g: engine.orbit_key(g)[1] for g in sorted(set(region))}
 
 
 def psi_map(engine, z: Segment, region: Iterable[int], J: int = 3) -> PatternPatch:

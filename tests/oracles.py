@@ -409,3 +409,37 @@ def grid_no_finite_component(deleted, dim: int) -> bool:
 def z2_ball_count(r: int) -> int:
     """|{(x, y) : |x| + |y| <= r}| computed directly from coordinates."""
     return sum(1 for x in range(-r, r + 1) for y in range(-r, r + 1) if abs(x) + abs(y) <= r)
+
+
+# ---------------------------------------------------------------------------
+# orbit keys by pairwise membership (subgroup-mode engines)
+# ---------------------------------------------------------------------------
+
+
+def _orbit_exponent(engine, rep: int, g: int) -> int:
+    """The n with rep * n = g, found by trying n = 0, ±1, ±2, ... up to
+    len(word(rep)) + len(word(g)), which bounds |n| because cⁿ is no
+    shorter than |n| in the shipped instances."""
+    bound = len(engine.numbering.to_word(rep)) + len(engine.numbering.to_word(g))
+    for n in range(bound + 1):
+        for m in (n, -n):
+            if engine.act(rep, m) == g:
+                return m
+    raise AssertionError(f"{rep} and {g} share an orbit but no |n| <= {bound} joins them")
+
+
+def pairwise_orbit_keys(engine, region) -> dict:
+    """Reference orbit keys g -> (rep, n) with g = rep * n, from pairwise
+    orbit membership alone: rep is the first u in 0, 1, ..., g with
+    ``same_orbit(u, g)`` (every earlier representative found is tried
+    first; each is least in its own orbit), so rep is least in g's orbit
+    by construction, and n comes from scanning ``act(rep, ±n)``."""
+    keys = {}
+    reps: list[int] = []
+    for g in sorted(set(region)):
+        rep = next((r for r in reps if engine.same_orbit(r, g)), None)
+        if rep is None:
+            rep = next(u for u in range(g + 1) if engine.same_orbit(u, g))
+            reps.append(rep)
+        keys[g] = (rep, _orbit_exponent(engine, rep, g))
+    return keys

@@ -12,13 +12,15 @@ from tlaction import (
     ConfigError,
     Fuel,
     FuelExhausted,
+    Numbering,
+    ball,
     builtin_group,
     canonical_numbering,
     engine_for,
 )
 from tlaction.graph import distance
 
-from oracles import f2_cyclic_a_member
+from oracles import f2_cyclic_a_member, pairwise_orbit_keys
 
 
 @pytest.fixture(scope="module")
@@ -162,6 +164,45 @@ def test_orbit_representatives_transitive(z2_engine):
 
 def test_transitive_same_orbit_everywhere(z2_engine):
     assert z2_engine.same_orbit(0, 17)
+
+
+@pytest.mark.parametrize("name,radius", [("FreeF2", 4), ("Z2HNN", 6), ("Z2starZ3", 8)])
+def test_orbit_key_matches_pairwise_scan(name, radius):
+    eng = engine_for(name, Fuel(100_000_000))
+    region = sorted(ball(eng.graph, 0, radius))
+    reference = pairwise_orbit_keys(eng, region)
+    for v in region:
+        rep, n = eng.orbit_key(v)
+        assert (rep, n) == reference[v], v
+        assert eng.act(rep, n) == v
+
+
+def test_orbit_key_transitive(z2_engine):
+    base = z2_engine.ensure_visited(0)
+    for v in range(12):
+        assert z2_engine.orbit_key(v) == (0, z2_engine.ensure_visited(v) - base)
+
+
+@pytest.mark.parametrize("name,levels", [("Z2HNN", 1), ("Z2starZ3", 2)])
+def test_factor_numberings_built_once_under_engine_fuel(monkeypatch, name, levels):
+    # each finite factor (C2, C3) has one level past the identity, and it is
+    # enumerated once, whatever the number of queries
+    advance = Numbering._advance_level
+    metered = []
+
+    def counted(numbering):
+        before = eng.fuel.consumed
+        advance(numbering)
+        metered.append((numbering.fuel, eng.fuel.consumed - before))
+
+    monkeypatch.setattr(Numbering, "_advance_level", counted)
+    eng = engine_for(name, Fuel(100_000_000))
+    rng = random.Random(9)
+    for _ in range(200):
+        eng.same_orbit(0, rng.randrange(1, 2_000))
+    assert len(metered) == levels
+    assert all(fuel is eng.fuel for fuel, _ in metered)
+    assert sum(ticks for _, ticks in metered) > 0
 
 
 # -- engine construction ------------------------------------------------------

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import time
 
 import pytest
 
@@ -13,6 +14,7 @@ from tlaction import (
     ArrowLetter,
     ConfigError,
     Fuel,
+    FuelExhausted,
     InvariantError,
     PatternCoding,
     PatternPatch,
@@ -37,7 +39,7 @@ from tlaction import (
     xj_forbidden,
     yxj_forbidden,
 )
-from tlaction.subshift import _orbit_position
+from tlaction import stallings
 
 BUDGET = 10_000
 
@@ -328,42 +330,37 @@ def test_orbit_positions_subgroup_mode():
     assert positions == {e: 0, a: 1, ai: -1, b: 0, ba: 1}
 
 
-def _full_scan_positions(engine, region):
-    """Reference: orbit positions with the representative scan asking every u <= g."""
-    positions = {}
-    known_reps = []
-    for g in sorted(set(region)):
-        rep = next((r for r in known_reps if engine.same_orbit(r, g)), None)
-        if rep is None:
-            rep = next(u for u in range(g + 1) if engine.same_orbit(u, g))
-            known_reps.append(rep)
-        positions[g] = _orbit_position(engine, rep, g)
-    return positions
-
-
-def test_orbit_positions_skip_placed_vertices():
-    eng = engine_for("Z2HNN", Fuel(10_000_000))
+@pytest.mark.parametrize("name", ["FreeF2", "Z2HNN", "Z2starZ3"])
+def test_orbit_positions_read_one_normal_form_per_vertex(monkeypatch, name):
+    eng = engine_for(name, Fuel(10_000_000))
     region = sorted(ball(eng.graph, 0, 4))
-    same_orbit = eng.same_orbit
-    calls = []
+    same_orbit_calls = []
+    normal_forms = []
 
-    def counted(u, v):
-        calls.append((u, v))
-        return same_orbit(u, v)
+    def counted(calls, fn):
+        def wrapper(*args):
+            calls.append(args)
+            return fn(*args)
 
-    eng.same_orbit = counted
-    reference = _full_scan_positions(eng, region)
-    full_calls = calls[:]
-    calls.clear()
-    assert orbit_positions(eng, region) == reference
-    # Calls whose first vertex is another orbit's representative come from
-    # the known-representatives scan, which both versions share; the rest
-    # come from the representative scan.
-    def rep_scan(pairs):
-        return [(u, g) for u, g in pairs if u == g or reference.get(u) != 0]
+        return wrapper
 
-    assert 10 * len(rep_scan(calls)) <= len(rep_scan(full_calls))
-    assert 2 * len(calls) <= len(full_calls)
+    eng.same_orbit = counted(same_orbit_calls, eng.same_orbit)
+    for fn in ("hnn_normal_form", "amalgam_normal_form"):
+        monkeypatch.setattr(stallings, fn, counted(normal_forms, getattr(stallings, fn)))
+    positions = orbit_positions(eng, region)
+    assert sorted(positions) == region
+    assert same_orbit_calls == []
+    assert len(normal_forms) == len(region)
+
+
+def test_orbit_positions_respects_fuel():
+    # the ball comes from its own engine: building it costs fuel too
+    region = ball(engine_for("FreeF2", Fuel(10_000_000)).graph, 0, 6)
+    assert len(region) == 1457
+    start = time.perf_counter()
+    with pytest.raises(FuelExhausted):
+        orbit_positions(engine_for("FreeF2", Fuel(2_000)), region)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_recenter_moves_center_to_identity(z2):
