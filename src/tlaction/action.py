@@ -78,7 +78,10 @@ class ActionEngine:
         if mode not in ("transitive", "subgroup"):
             raise ConfigError(f"engine mode must be 'transitive' or 'subgroup', got {mode!r}")
         self.mode = mode
-        self._stages: list[ExtensibleState] = []
+        # Every stage's path, and the newest stage's state: only the state
+        # the next extension starts from carries an image and a boundary.
+        self._paths: list[ThreePath] = []
+        self._state: ExtensibleState | None = None
         self.visited_index: dict[int, int] = {}
         if mode == "transitive":
             ends = oracle.declared_ends
@@ -111,8 +114,16 @@ class ActionEngine:
             # syllables' lengths, so in an HNN extension p·t^j is longer than
             # p for every j != 0.  In an amalgam a shorter element can sit
             # one step away: b's orbit holds a = b·(ab)⁻¹, and x·b·a's holds
-            # x·b⁻¹ = x·b·a·(ab) in Z2 * Z3.
-            self._key_window = (0,) if isinstance(instance.data, HnnData) else (-1, 0, 1)
+            # x·b⁻¹ = x·b·a·(ab) in Z2 * Z3.  Over nontrivial ones no window
+            # is proven (SL(2,ℤ) = C4 *_C2 C6 already needs more), so there
+            # is none and orbit_key refuses.
+            data = instance.data
+            hnn = isinstance(data, HnnData)
+            factor = data.base if hnn else data.left
+            if any(not factor.wp(a) for a in data.subgroup_a):
+                self._key_window = None
+            else:
+                self._key_window = (0,) if hnn else (-1, 0, 1)
 
     # -- transitive-mode stage construction --------------------------------
 
@@ -181,8 +192,8 @@ class ActionEngine:
         """Compute (and cache) stage i; stage i visits vertices 0..i."""
         if self.mode != "transitive":
             raise ConfigError("stages exist only in transitive mode")
-        while len(self._stages) <= i:
-            prev = self._stages[-1].path if self._stages else None
+        while len(self._paths) <= i:
+            prev = self._state
             if prev is None:
                 st = (
                     self._seed_one_ended()
@@ -190,16 +201,16 @@ class ActionEngine:
                     else self._seed_two_ended()
                 )
             else:
-                target = len(self._stages)
-                st = extend_to_visit(self.graph, self.dec, self._stages[-1], target)
-            self._stages.append(st)
-            self._record(st.path, prev)
-        return self._stages[i].path
+                st = extend_to_visit(self.graph, self.dec, prev, len(self._paths))
+            self._state = st
+            self._paths.append(st.path)
+            self._record(st.path, None if prev is None else prev.path)
+        return self._paths[i]
 
     def current_path(self) -> ThreePath:
-        if not self._stages:
+        if not self._paths:
             self.build_stage(0)
-        return self._stages[-1].path
+        return self._paths[-1]
 
     def ensure_visited(self, v: int) -> int:
         """Grow stages until vertex v is visited; returns its position."""
@@ -208,7 +219,7 @@ class ActionEngine:
         if v < 0:
             raise ConfigError("vertex indices are nonnegative")
         while v not in self.visited_index:
-            self.build_stage(len(self._stages))
+            self.build_stage(len(self._paths))
         return self.visited_index[v]
 
     # -- the action ---------------------------------------------------------
@@ -224,7 +235,7 @@ class ActionEngine:
             f = self.current_path()
             if f.lo <= target <= f.hi:
                 return f.at(target)
-            self.build_stage(len(self._stages))
+            self.build_stage(len(self._paths))
 
     def same_orbit(self, u: int, v: int) -> bool:
         """Whether u and v lie in one orbit of the action."""
@@ -248,11 +259,16 @@ class ActionEngine:
         writes word(v) = p·cᵐ, and rep is the least index among p·c^j for j
         in a small window.  The window holds the least element of p⟨c⟩ over
         trivial associated subgroups, as in the shipped instances (tests
-        check every vertex of a ball); over others v = rep ∗ n still holds,
-        but rep need not be least.
+        check every vertex of a ball); over nontrivial ones it need not, and
+        this raises :class:`ConfigError`.
         """
         if self.mode == "transitive":
             return 0, self.ensure_visited(v) - self.ensure_visited(0)
+        if self._key_window is None:
+            raise ConfigError(
+                "orbit keys need an extension over trivial associated subgroups; "
+                "act and same_orbit still work on this instance"
+            )
         prefix, m = split_generator_power(self.instance, self.numbering.to_word(v), self.fuel)
         rep, j = min(
             (self.numbering.to_index(concat_words(prefix, power_word(self._c, j))), j)

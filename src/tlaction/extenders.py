@@ -20,7 +20,7 @@ complete fallback.  All searches are fuel-metered.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Iterator
 
 from .decidability import EndsDecider, witness_pair
@@ -36,15 +36,30 @@ class ExtensibleState:
     ``witness_end`` is an unvisited vertex within distance 3 of the last
     path vertex; ``witness_start`` likewise for the first vertex.  The
     complement certificate itself is not stored: it was checked by the
-    decider when the state was built.
+    decider when the state was built.  What the next extension's decider
+    queries start from is: ``image``, the path's vertex set (read off the
+    path when not given); ``boundary``, the complement vertices adjacent to
+    it as :meth:`EndsDecider.boundary` returns them (None when unknown, and
+    the next extension then scans the image in full); and ``floor``, the
+    least unvisited vertex, found on construction by scanning up from the
+    given value, below which every vertex must be visited.
     """
 
     path: ThreePath
     witness_end: int
     witness_start: int
+    image: frozenset[int] | None = field(default=None, repr=False, compare=False)
+    boundary: frozenset[int] | None = field(default=None, repr=False, compare=False)
+    floor: int = field(default=0, compare=False)
 
     def __post_init__(self) -> None:
-        image = self.path.image
+        if self.image is None:
+            object.__setattr__(self, "image", self.path.image)
+        image = self.image
+        floor = self.floor
+        while floor in image:
+            floor += 1
+        object.__setattr__(self, "floor", floor)
         if self.witness_end in image:
             raise InvariantError("end witness must be unvisited")
         if self.witness_start in image:
@@ -60,25 +75,29 @@ def _adjacent_to(graph, component: Iterable[int], region: set[int] | frozenset[i
 def _absorb_into(
     graph,
     dec: EndsDecider,
-    fixed: frozenset[int],
     regions: list[set[int]],
-) -> bool:
-    """Absorb finite complement components of fixed ∪ ⋃regions into the regions.
+    image: frozenset[int] = frozenset(),
+    boundary: frozenset[int] = frozenset(),
+    floor: int = 0,
+) -> frozenset[int]:
+    """Absorb finite complement components of image ∪ ⋃regions into the regions.
 
-    Each witness component is attached to the first region it is adjacent
-    to, keeping every region connected.  Returns True when the decider
-    certifies no finite component remains.  A component adjacent to none
-    of the regions cannot be covered by any path through them; this only
-    happens when the fixed set alone encloses it, which the caller's
-    bi-extensibility precondition rules out.
+    ``boundary`` is the image's and ``floor`` a lower bound for the least
+    vertex outside it (see :class:`ExtensibleState`), so each decider query
+    scans only the regions.  Each witness component is attached to the
+    first region it is adjacent to, keeping every region connected.  Once
+    the decider certifies that no finite component remains, returns the
+    boundary of image ∪ ⋃regions.  A component adjacent to none of the
+    regions cannot be covered by any path through them; this only happens
+    when the image alone encloses it, which the caller's bi-extensibility
+    precondition rules out.
     """
     while True:
-        deleted: set[int] = set(fixed)
-        for r in regions:
-            deleted |= r
-        witness = dec.find_finite_component(deleted)
+        added = set().union(*regions)
+        grown = dec.boundary(added, image, boundary)
+        witness = dec.find_finite_component(added, image, grown, floor)
         if witness is None:
-            return True
+            return grown
         for r in regions:
             if _adjacent_to(graph, witness, r):
                 r.update(witness)
@@ -90,19 +109,25 @@ def _absorb_into(
             )
 
 
-def _exit_vertex(graph, region: set[int] | frozenset[int], entry: int, forbidden: frozenset[int]) -> int:
+def _exit_vertex(
+    graph, region: set[int], entry: int, image: frozenset[int], other: set[int]
+) -> int:
     """Deterministic exit for a Hamiltonian walk of ``region`` entered at ``entry``.
 
     Prefers the least region vertex other than the entry that has a
-    neighbour outside region ∪ forbidden (so an unvisited witness sits one
-    step beyond the walk's end); falls back to the least region-neighbour
-    of the entry (the witness then reachable through the entry itself).
+    neighbour outside region ∪ image ∪ other (so an unvisited witness sits
+    one step beyond the walk's end); falls back to the least
+    region-neighbour of the entry (the witness then reachable through the
+    entry itself).
     """
     boundary = [
         x
         for x in sorted(region)
         if x != entry
-        and any(nb not in region and nb not in forbidden for nb in graph.neighbors(x))
+        and any(
+            nb not in region and nb not in image and nb not in other
+            for nb in graph.neighbors(x)
+        )
     ]
     if boundary:
         return boundary[0]
@@ -115,19 +140,31 @@ def _exit_vertex(graph, region: set[int] | frozenset[int], entry: int, forbidden
 
 
 def state_from_path(
-    graph, dec: EndsDecider, path: ThreePath, certified: bool = False
+    graph,
+    dec: EndsDecider,
+    path: ThreePath,
+    image: frozenset[int] | None = None,
+    boundary: frozenset[int] | None = None,
+    floor: int = 0,
 ) -> ExtensibleState | None:
     """Bundle an existing path into a bi-extensible state, or None if it
     does not qualify: the complement must carry the decider's
-    no-finite-component certificate (skipped when ``certified``) and a
-    canonical witness pair must exist."""
-    if not certified and not dec.no_finite_component(path.image):
-        return None
-    pair = witness_pair(graph, path)
+    no-finite-component certificate and a canonical witness pair must
+    exist.  A caller that has certified the complement already passes the
+    ``boundary`` the decider certified; otherwise the image is scanned and
+    certified here.  ``image`` and ``floor`` are as in
+    :class:`ExtensibleState`."""
+    if image is None:
+        image = path.image
+    if boundary is None:
+        boundary = dec.boundary(image)
+        if dec.find_finite_component((), image, boundary, floor) is not None:
+            return None
+    pair = witness_pair(graph, path, image)
     if pair is None:
         return None
     ws, we = pair
-    return ExtensibleState(path=path, witness_end=we, witness_start=ws)
+    return ExtensibleState(path, we, ws, image, boundary, floor)
 
 
 def make_bi_extensible(graph, dec: EndsDecider, w: int) -> ExtensibleState:
@@ -142,7 +179,7 @@ def make_bi_extensible(graph, dec: EndsDecider, w: int) -> ExtensibleState:
     if not nbrs:
         raise InvariantError(f"vertex {w} is isolated")
     region = {w, nbrs[0]}
-    _absorb_into(graph, dec, frozenset(), [region])
+    certified = _absorb_into(graph, dec, [region])
     patch = induced_patch(graph, region)
     boundary = [
         x
@@ -157,7 +194,7 @@ def make_bi_extensible(graph, dec: EndsDecider, w: int) -> ExtensibleState:
         raise InvariantError("region is not connected at its boundary vertex")
     v = region_nbrs[0]
     path = ThreePath(start=0, vertices=karaganis_path(patch, u, v))
-    state = state_from_path(graph, dec, path, certified=True)
+    state = state_from_path(graph, dec, path, frozenset(region), certified)
     if state is None:
         raise InvariantError("construction left no distinct witness pair")
     return state
@@ -171,29 +208,33 @@ def make_bi_extensible(graph, dec: EndsDecider, w: int) -> ExtensibleState:
 def _validate_candidate(
     graph,
     dec: EndsDecider,
-    old: ThreePath,
+    st: ExtensibleState,
     new: ThreePath,
     w: int,
-    certified: bool,
+    added: set[int],
+    boundary: frozenset[int] | None,
 ) -> ExtensibleState | None:
     """The extension contract.  Returns the new state, or None if any
     condition fails: new extends old exactly, domain grew strictly on both
     sides, w is visited, all new jumps are within 3, the complement carries
     the no-finite-component certificate, and a canonical witness pair exists.
+    ``added`` is the set of new vertices, and ``boundary`` the one the
+    decider certified for the new image, or None to certify it here.
     """
+    old = st.path
     lo_off = old.lo - new.lo
     if new.vertices[lo_off : lo_off + len(old.vertices)] != old.vertices:
         return None
     if not (new.lo < old.lo and new.hi > old.hi):
         return None
-    if not new.visits(w):
+    if w not in st.image and w not in added:
         return None
     try:
         new_positions = list(range(new.lo, old.lo)) + list(range(old.hi, new.hi))
         check_jumps(graph, new, max_jump=3, positions=new_positions)
     except InvariantError:
         return None
-    return state_from_path(graph, dec, new, certified)
+    return state_from_path(graph, dec, new, st.image | added, boundary, st.floor)
 
 
 def _splice(old: ThreePath, left_walk: tuple[int, ...], right_walk: tuple[int, ...]) -> ThreePath:
@@ -214,7 +255,7 @@ def _try_split(
     walked Hamiltonianly witness-to-witness, then split at a consecutive
     close pair into the two side extensions."""
     f = st.path
-    image = f.image
+    image = st.image
     u, v = st.witness_start, st.witness_end
     pu = shortest_path(graph, u, w_eff, avoid=image, cap=radius)
     if pu is None:
@@ -223,7 +264,7 @@ def _try_split(
     if pv is None:
         return None
     region = set(pu) | set(pv)
-    _absorb_into(graph, dec, image, [region])
+    boundary = _absorb_into(graph, dec, [region], image, st.boundary, st.floor)
     patch = induced_patch(graph, region)
     try:
         walk = karaganis_path(patch, u, v)
@@ -244,7 +285,7 @@ def _try_split(
             cand = _splice(f, left, right)
         except InvariantError:
             continue
-        state = _validate_candidate(graph, dec, f, cand, w, certified=True)
+        state = _validate_candidate(graph, dec, st, cand, w, region, boundary)
         if state is not None:
             return state
     return None
@@ -262,7 +303,7 @@ def _try_one_side(
     """Fast path for a target reachable from only one witness: that side
     carries a region covering the target, the other side grows minimally."""
     f = st.path
-    image = f.image
+    image = st.image
     u, v = st.witness_start, st.witness_end
     main_entry, other_entry = (v, u) if side == "right" else (u, v)
     p = shortest_path(graph, main_entry, w_eff, avoid=image, cap=radius)
@@ -272,15 +313,13 @@ def _try_one_side(
     if other_entry in main:
         return None
     other = {other_entry}
-    _absorb_into(graph, dec, image, [main, other])
+    boundary = _absorb_into(graph, dec, [main, other], image, st.boundary, st.floor)
     if main & other:
         return None
-    fro_main = frozenset(image) | frozenset(other)
-    fro_other = frozenset(image) | frozenset(main)
     try:
-        exit_main = _exit_vertex(graph, main, main_entry, fro_main)
+        exit_main = _exit_vertex(graph, main, main_entry, image, other)
         walk_main = karaganis_path(induced_patch(graph, main), main_entry, exit_main)
-        exit_other = _exit_vertex(graph, other, other_entry, fro_other)
+        exit_other = _exit_vertex(graph, other, other_entry, image, main)
         walk_other = karaganis_path(induced_patch(graph, other), other_entry, exit_other)
     except InvariantError:
         return None
@@ -291,7 +330,7 @@ def _try_one_side(
         cand = _splice(f, left_walk, right_walk)
     except InvariantError:
         return None
-    return _validate_candidate(graph, dec, f, cand, w, certified=True)
+    return _validate_candidate(graph, dec, st, cand, w, main | other, boundary)
 
 
 def _enumerate_candidates(
@@ -337,7 +376,7 @@ def _try_enumerate(
     path, and put through the same validator as the fast paths.
     """
     f = st.path
-    image = f.image
+    image = st.image
     pool_verts: set[int] = set()
     frontier = list(image)
     seen = set(image)
@@ -362,7 +401,8 @@ def _try_enumerate(
                 cand = _splice(f, left_walk, right_walk)
             except InvariantError:
                 continue
-            state = _validate_candidate(graph, dec, f, cand, w, certified=False)
+            added = set(left_walk).union(right_walk)
+            state = _validate_candidate(graph, dec, st, cand, w, added, None)
             if state is not None:
                 return state
     return None
@@ -378,8 +418,9 @@ def extend_to_visit(graph, dec: EndsDecider, st: ExtensibleState, w: int) -> Ext
     when the budget runs out — on a correctly declared one- or two-ended
     graph the search always succeeds first.
     """
-    f = st.path
-    w_eff = w if w not in f.image else st.witness_end
+    if st.boundary is None:
+        st = replace(st, boundary=dec.boundary(st.image))
+    w_eff = w if w not in st.image else st.witness_end
     radius = 4
     while True:
         dec.fuel.tick()

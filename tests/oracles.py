@@ -443,3 +443,68 @@ def pairwise_orbit_keys(engine, region) -> dict:
             reps.append(rep)
         keys[g] = (rep, _orbit_exponent(engine, rep, g))
     return keys
+
+
+# ---------------------------------------------------------------------------
+# SL(2, Z) = C4 *_{C2} C6 on 2x2 integer matrices
+# ---------------------------------------------------------------------------
+
+SL2Z_A = ((0, -1), (1, 0))  # order 4
+SL2Z_B = ((0, -1), (1, 1))  # order 6; a² = b³ = -1 spans the edge group C2
+_SL2Z_ONE = ((1, 0), (0, 1))
+
+
+def _mat_mul(x, y):
+    return tuple(
+        tuple(sum(x[i][k] * y[k][j] for k in range(2)) for j in range(2)) for i in range(2)
+    )
+
+
+def _mat_inv(x):
+    (p, q), (r, s) = x
+    return ((s, -q), (-r, p))
+
+
+def sl2z_matrix(word):
+    """The matrix a word over a = letter 1, b = letter 2 spells."""
+    m = _SL2Z_ONE
+    for lt in word:
+        g = SL2Z_A if abs(lt) == 1 else SL2Z_B
+        m = _mat_mul(m, g if lt > 0 else _mat_inv(g))
+    return m
+
+
+def sl2z_instance():
+    """SL(2, Z) as the amalgam C4 *_{C2} C6 of <a> and <b> over <a²> = <b³>,
+    with designated generator c = ab.  Its edge group is nontrivial, unlike
+    the shipped instances'.  The word problem multiplies matrices."""
+    from tlaction import AmalgamData, GroupOracle, ZSubgroupInstance, cyclic_group
+
+    ext = GroupOracle(
+        name="SL2Z",
+        generator_names=("a", "b"),
+        wp=lambda w: sl2z_matrix(w) == _SL2Z_ONE,
+        declared_ends="many",
+        normal_key=sl2z_matrix,
+    )
+    data = AmalgamData(
+        left=cyclic_group(4, "a"),
+        right=cyclic_group(6, "b"),
+        subgroup_a=((), (1, 1)),
+        subgroup_b=((), (1, 1, 1)),
+        iso=(((), ()), ((1, 1), (1, 1, 1))),
+        extension=ext,
+        left_letter_map={1: 1},
+        right_letter_map={1: 2},
+    )
+    return ZSubgroupInstance(data=data, designated_u=(1,), designated_v=(2,))
+
+
+def sl2z_orbit_exponent(u_word, v_word):
+    """The n with u·cⁿ = v for c = ab, or None when v is not in u<c>.
+    c = -[[1, 1], [0, 1]], so cⁿ = (-1)ⁿ [[1, n], [0, 1]]."""
+    (p, q), (r, s) = _mat_mul(_mat_inv(sl2z_matrix(u_word)), sl2z_matrix(v_word))
+    if r != 0 or p != s or p not in (1, -1):
+        return None
+    n = p * q
+    return n if (-1) ** (n % 2) == p else None

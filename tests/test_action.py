@@ -17,10 +17,17 @@ from tlaction import (
     builtin_group,
     canonical_numbering,
     engine_for,
+    period3_segment,
+    psi_map,
 )
 from tlaction.graph import distance
 
-from oracles import f2_cyclic_a_member, pairwise_orbit_keys
+from oracles import (
+    f2_cyclic_a_member,
+    pairwise_orbit_keys,
+    sl2z_instance,
+    sl2z_orbit_exponent,
+)
 
 
 @pytest.fixture(scope="module")
@@ -177,6 +184,37 @@ def test_orbit_key_matches_pairwise_scan(name, radius):
         assert eng.act(rep, n) == v
 
 
+@pytest.fixture(scope="module")
+def sl2z_engine():
+    inst = sl2z_instance()
+    return ActionEngine(inst.data.extension, fuel=Fuel(100_000_000), instance=inst)
+
+
+def test_orbit_key_refused_over_nontrivial_edge_group(sl2z_engine):
+    # SL(2,Z) = C4 *_C2 C6: no window of candidates is proven to hold the
+    # least vertex of an orbit, so orbit keys, and the overlay positions
+    # read from them, are refused
+    with pytest.raises(ConfigError):
+        sl2z_engine.orbit_key(5)
+    with pytest.raises(ConfigError):
+        psi_map(sl2z_engine, period3_segment(-3, 3), range(10))
+
+
+def test_same_orbit_agrees_with_act_over_nontrivial_edge_group(sl2z_engine):
+    eng = sl2z_engine
+    region = sorted(ball(eng.graph, 0, 4))
+    words = {v: eng.numbering.to_word(v) for v in region}
+    members = 0
+    for u in region:
+        for v in region:
+            n = sl2z_orbit_exponent(words[u], words[v])
+            assert eng.same_orbit(u, v) == (n is not None), (u, v)
+            if n is not None:
+                assert eng.act(u, n) == v, (u, v, n)
+                members += 1
+    assert len(region) < members < len(region) ** 2
+
+
 def test_orbit_key_transitive(z2_engine):
     base = z2_engine.ensure_visited(0)
     for v in range(12):
@@ -250,6 +288,21 @@ def test_tiny_fuel_exhausts():
     eng = engine_for("Z2", Fuel(50))
     with pytest.raises(FuelExhausted):
         eng.build_stage(10)
+
+
+@pytest.mark.parametrize("name", ["Z", "Z2", "Z3"])
+def test_fuel_bounds_stage_growth(name):
+    # decider queries no longer tick a step per path vertex; the budget
+    # must still stop growth, within a wall time that grows with it
+    reached = []
+    for budget in (10_000, 30_000):
+        eng = engine_for(name, Fuel(budget))
+        start = time.perf_counter()
+        with pytest.raises(FuelExhausted):
+            eng.build_stage(10**6)
+        assert time.perf_counter() - start < 1.0 + budget / 10_000
+        reached.append(len(eng.current_path()))
+    assert 0 < reached[0] < reached[1]
 
 
 def test_bs12_engine_runs_transitively():

@@ -8,13 +8,17 @@ from tlaction import (
     CayleyGraph,
     ConfigError,
     EndsDecider,
+    EndsDeclarationError,
+    FinitePatch,
     Fuel,
     FuelExhausted,
     ThreePath,
     ball,
     builtin_group,
+    engine_for,
 )
-from tlaction.decidability import _finite_component_steps, witness_pair
+from tlaction import decidability, extenders
+from tlaction.decidability import _boundary_vertices, _finite_component_steps, witness_pair
 from tlaction.extenders import state_from_path
 
 from oracles import grid_no_finite_component
@@ -149,9 +153,79 @@ def test_two_ends_requires_separator(z):
         EndsDecider(z, mode="two", separator=frozenset())
 
 
+# -- inconsistent declarations -------------------------------------------------
+
+
+def path_patch(n):
+    return FinitePatch(tuple(range(n)), tuple((i, i + 1) for i in range(n - 1)))
+
+
+def cycle_patch(n):
+    return FinitePatch(tuple(range(n)), tuple(sorted((i, i + 1) for i in range(n - 1)) + [(0, n - 1)]))
+
+
+def test_two_ended_with_one_boundary_vertex_is_inconsistent():
+    # the end of a path leaves a single boundary vertex, not two sides
+    dec = EndsDecider(path_patch(8), mode="two", separator=frozenset({0}), fuel=Fuel(10_000))
+    with pytest.raises(EndsDeclarationError, match="only 1 boundary class"):
+        dec.find_finite_component([])
+
+
+def test_exhausted_complement_is_inconsistent():
+    # two 9-vertex arcs of a 20-cycle: the connectivity search runs out of
+    # both in 6 rounds, before the growing ball closes one (round 8)
+    dec = EndsDecider(cycle_patch(20), mode="one", fuel=Fuel(10_000))
+    with pytest.raises(EndsDeclarationError, match="exhausted a finite graph"):
+        dec.find_finite_component([0, 10])
+
+
+def test_both_searches_halting_is_inconsistent():
+    # a triangle less a vertex: the edge left is closed, and its two ends
+    # join, in the first round
+    dec = EndsDecider(cycle_patch(3), mode="one", fuel=Fuel(10_000))
+    with pytest.raises(EndsDeclarationError, match="both"):
+        dec.find_finite_component([0])
+
+
 def test_decider_mode_validation(z):
     with pytest.raises(ConfigError):
         EndsDecider(z, mode="three")
+
+
+# -- carried boundaries ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("group,last", [("Z", 100), ("Z2", 100), ("Z3", 60), ("BS12", 50)])
+def test_carried_boundary_matches_full_scan(monkeypatch, group, last):
+    # every query of real stage growth starts the connectivity search from
+    # the V0 list a full scan of the deleted set gives, and every boundary
+    # the extenders get back and carry is the full scan's
+    eng = engine_for(group, Fuel(10**9))
+    graph, dec = eng.graph, eng.dec
+    counts = {"queries": 0, "absorbed": 0}
+    joiner = decidability._connectivity_steps
+    absorb = extenders._absorb_into
+
+    def checked_joiner(graph, v0, deleted, extra, target, fuel):
+        assert v0 == _boundary_vertices(graph, frozenset(deleted) | extra)
+        counts["queries"] += 1
+        return joiner(graph, v0, deleted, extra, target, fuel)
+
+    def checked_absorb(graph, dec, regions, *carried):
+        grown = absorb(graph, dec, regions, *carried)
+        image = carried[0] if carried else frozenset()
+        assert sorted(grown) == _boundary_vertices(graph, dec.augmented(image.union(*regions)))
+        counts["absorbed"] += 1
+        return grown
+
+    monkeypatch.setattr(decidability, "_connectivity_steps", checked_joiner)
+    monkeypatch.setattr(extenders, "_absorb_into", checked_absorb)
+    for i in range(last + 1):
+        eng.build_stage(i)
+        st = eng._state
+        assert sorted(st.boundary) == _boundary_vertices(graph, dec.augmented(st.image))
+        assert st.floor == min(set(range(len(st.image) + 1)) - st.image)
+    assert counts["queries"] > last and counts["absorbed"] >= last
 
 
 # -- witnesses and bi-extensibility ---------------------------------------------

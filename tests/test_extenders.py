@@ -139,7 +139,7 @@ def test_state_requires_distinct_unvisited_witnesses(z2_setup):
 def test_exhaustive_fallback_extends(monkeypatch, group, target):
     eng = engine_for(group, Fuel(10_000_000))
     eng.build_stage(3)
-    st = eng._stages[3]
+    st = eng._state
     monkeypatch.setattr(extenders, "_try_split", lambda *args: None)
     monkeypatch.setattr(extenders, "_try_one_side", lambda *args: None)
     ext = extend_to_visit(eng.graph, eng.dec, st, target)  # only _try_enumerate is left
