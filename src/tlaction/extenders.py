@@ -36,13 +36,16 @@ class ExtensibleState:
     ``witness_end`` is an unvisited vertex within distance 3 of the last
     path vertex; ``witness_start`` likewise for the first vertex.  The
     complement certificate itself is not stored: it was checked by the
-    decider when the state was built.  What the next extension's decider
-    queries start from is: ``image``, the path's vertex set (read off the
-    path when not given); ``boundary``, the complement vertices adjacent to
-    it as :meth:`EndsDecider.boundary` returns them (None when unknown, and
-    the next extension then scans the image in full); and ``floor``, the
-    least unvisited vertex, found on construction by scanning up from the
-    given value, below which every vertex must be visited.
+    decider when the state was built.  The next extension's decider
+    queries start from three more fields:
+
+    - ``image``, the path's vertex set (read off the path when not given);
+    - ``boundary``, the complement vertices adjacent to the image, as
+      :meth:`EndsDecider.boundary` returns them (None when unknown: the
+      next extension then scans the image in full);
+    - ``floor``, the least unvisited vertex, found on construction by
+      scanning up from the given value, below which every vertex must be
+      visited.
     """
 
     path: ThreePath
