@@ -39,9 +39,7 @@ def main() -> None:
             f"  visits v0..v{i}  newest -> {label(i)}"
         )
 
-    f = engine.current_path()
     print(f"\nrealized translation around v0 (position of e is {engine.ensure_visited(0)}):")
-    base = engine.ensure_visited(0)
     for n in range(-args.window, args.window + 1):
         v = engine.act(0, n)
         marker = " <- e" if n == 0 else ""

@@ -15,10 +15,12 @@ Two modes realize the action v ∗ n:
   normal form of word(v) names v's orbit and v's position along it
   (:meth:`ActionEngine.orbit_key`).
 
-The engine is stateful: the stage cache only grows.  Interleaved calls
-from several threads require external synchronization; after a
-synchronization point, already-built stages may be read concurrently, and
-the engine may be handed off to another thread.
+The engine is stateful and only grows.  Stages nest, so it keeps the
+newest stage's path and the (lo, hi) bounds of every stage; an older
+stage is a slice of the newest path.  Interleaved calls from several
+threads require external synchronization; after a synchronization point,
+already-built stages may be read concurrently, and the engine may be
+handed off to another thread.
 """
 
 from __future__ import annotations
@@ -54,12 +56,14 @@ from .stallings import (
 
 
 class ActionEngine:
-    """See the module docstring.  ``visited_index`` (transitive mode) maps
-    each visited vertex to its authoritative path position and is the
-    realization of f⁻¹.  It is filled from the seed stage whole and from
-    each later stage's two new segments only: every later stage comes
-    through the extension validator, which checks that it restricts to
-    the previous stage exactly, so old positions keep their vertices."""
+    """See the module docstring.  In transitive mode the engine keeps the
+    newest stage's state and ``_bounds[i]``, the domain (lo, hi) of stage
+    i.  ``visited_index`` maps each visited vertex to its authoritative
+    path position and is the realization of f⁻¹.  It is filled from the
+    seed stage whole and from each later stage's two new segments only:
+    every later stage comes through the extension validator, which checks
+    that it restricts to the previous stage exactly, so old positions keep
+    their vertices."""
 
     def __init__(
         self,
@@ -78,9 +82,7 @@ class ActionEngine:
         if mode not in ("transitive", "subgroup"):
             raise ConfigError(f"engine mode must be 'transitive' or 'subgroup', got {mode!r}")
         self.mode = mode
-        # Every stage's path, and the newest stage's state: only the state
-        # the next extension starts from carries an image and a boundary.
-        self._paths: list[ThreePath] = []
+        self._bounds: list[tuple[int, int]] = []
         self._state: ExtensibleState | None = None
         self.visited_index: dict[int, int] = {}
         if mode == "transitive":
@@ -173,13 +175,11 @@ class ActionEngine:
             seq.pop()
         return None
 
-    def _record(self, path: ThreePath, prev: ThreePath | None) -> None:
+    def _record(self, path: ThreePath) -> None:
         # Old positions are not re-walked: extend_to_visit only returns a
-        # stage that restricts to ``prev`` exactly.
-        if prev is None:
-            new = path.domain
-        else:
-            new = itertools.chain(range(path.lo, prev.lo), range(prev.hi + 1, path.hi + 1))
+        # stage that restricts to the previous one exactly.
+        lo, hi = self._bounds[-1] if self._bounds else (path.lo, path.lo - 1)
+        new = itertools.chain(range(path.lo, lo), range(hi + 1, path.hi + 1))
         for pos in new:
             v = path.at(pos)
             recorded = self.visited_index.setdefault(v, pos)
@@ -189,28 +189,31 @@ class ActionEngine:
                 )
 
     def build_stage(self, i: int) -> ThreePath:
-        """Compute (and cache) stage i; stage i visits vertices 0..i."""
+        """Compute stage i; stage i visits vertices 0..i."""
         if self.mode != "transitive":
             raise ConfigError("stages exist only in transitive mode")
-        while len(self._paths) <= i:
-            prev = self._state
-            if prev is None:
+        while len(self._bounds) <= i:
+            if self._state is None:
                 st = (
                     self._seed_one_ended()
                     if self.dec.mode == "one"
                     else self._seed_two_ended()
                 )
             else:
-                st = extend_to_visit(self.graph, self.dec, prev, len(self._paths))
+                st = extend_to_visit(self.graph, self.dec, self._state, len(self._bounds))
+            self._record(st.path)
             self._state = st
-            self._paths.append(st.path)
-            self._record(st.path, None if prev is None else prev.path)
-        return self._paths[i]
+            self._bounds.append((st.path.lo, st.path.hi))
+        f = self._state.path
+        if i == len(self._bounds) - 1:
+            return f
+        lo, hi = self._bounds[i]
+        return ThreePath(lo, f.vertices[lo - f.lo : hi - f.lo + 1])
 
     def current_path(self) -> ThreePath:
-        if not self._paths:
+        if self._state is None:
             self.build_stage(0)
-        return self._paths[-1]
+        return self._state.path
 
     def ensure_visited(self, v: int) -> int:
         """Grow stages until vertex v is visited; returns its position."""
@@ -219,7 +222,7 @@ class ActionEngine:
         if v < 0:
             raise ConfigError("vertex indices are nonnegative")
         while v not in self.visited_index:
-            self.build_stage(len(self._paths))
+            self.build_stage(len(self._bounds))
         return self.visited_index[v]
 
     # -- the action ---------------------------------------------------------
@@ -235,7 +238,7 @@ class ActionEngine:
             f = self.current_path()
             if f.lo <= target <= f.hi:
                 return f.at(target)
-            self.build_stage(len(self._paths))
+            self.build_stage(len(self._bounds))
 
     def same_orbit(self, u: int, v: int) -> bool:
         """Whether u and v lie in one orbit of the action."""

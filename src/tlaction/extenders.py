@@ -20,7 +20,7 @@ complete fallback.  All searches are fuel-metered.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 from .decidability import EndsDecider, witness_pair
@@ -39,10 +39,9 @@ class ExtensibleState:
     decider when the state was built.  The next extension's decider
     queries start from three more fields:
 
-    - ``image``, the path's vertex set (read off the path when not given);
+    - ``image``, the path's vertex set;
     - ``boundary``, the complement vertices adjacent to the image, as
-      :meth:`EndsDecider.boundary` returns them (None when unknown: the
-      next extension then scans the image in full);
+      :meth:`EndsDecider.boundary` returns them;
     - ``floor``, the least unvisited vertex, found on construction by
       scanning up from the given value, below which every vertex must be
       visited.
@@ -51,13 +50,11 @@ class ExtensibleState:
     path: ThreePath
     witness_end: int
     witness_start: int
-    image: frozenset[int] | None = field(default=None, repr=False, compare=False)
-    boundary: frozenset[int] | None = field(default=None, repr=False, compare=False)
+    image: frozenset[int] = field(repr=False, compare=False)
+    boundary: frozenset[int] = field(repr=False, compare=False)
     floor: int = field(default=0, compare=False)
 
     def __post_init__(self) -> None:
-        if self.image is None:
-            object.__setattr__(self, "image", self.path.image)
         image = self.image
         floor = self.floor
         while floor in image:
@@ -421,8 +418,6 @@ def extend_to_visit(graph, dec: EndsDecider, st: ExtensibleState, w: int) -> Ext
     when the budget runs out — on a correctly declared one- or two-ended
     graph the search always succeeds first.
     """
-    if st.boundary is None:
-        st = replace(st, boundary=dec.boundary(st.image))
     w_eff = w if w not in st.image else st.witness_end
     radius = 4
     while True:

@@ -28,7 +28,6 @@ from .groups import (
     concat_words,
     inverse_word,
     power_word,
-    word_to_str,
 )
 
 # ---------------------------------------------------------------------------
@@ -184,9 +183,6 @@ class NormalForm:
 
     def product(self) -> Word:
         return concat_words(*self.parts) if self.parts else EPSILON
-
-    def render(self, generator_names) -> str:
-        return " . ".join(word_to_str(p, generator_names) for p in self.parts)
 
 
 # ---------------------------------------------------------------------------

@@ -393,26 +393,25 @@ def psi_map(engine, z: Segment, region: Iterable[int], J: int = 3) -> PatternPat
 
 
 def action_patch(engine, region: Iterable[int], J: int = 3) -> PatternPatch:
-    """The arrow-layer patch of the engine's action over a finite region."""
+    """The arrow-layer patch of the engine's action over a finite region;
+    raises :class:`ConfigError` when an arrow leaves the radius-``J`` ball."""
     domain = tuple(sorted(set(region)))
     num = engine.numbering
-    graph = engine.graph
     values: dict[int, object] = {}
     for g in domain:
         word_g = num.to_word(g)
         offsets = []
         for sign in (-1, 1):
             target = engine.act(g, sign)
-            if distance(graph, g, target, cap=J) is None:
-                raise ConfigError(
-                    f"arrow from vertex {g} jumps outside the radius-{J} ball"
-                )
             offset_index = num.to_index(
                 concat_words(inverse_word(word_g), num.to_word(target))
             )
             offsets.append(num.to_word(offset_index))
         values[g] = ArrowLetter(l=offsets[0], r=offsets[1])
-    return PatternPatch(domain, values)
+    patch = PatternPatch(domain, values)
+    # left multiplication is a graph automorphism: one check per offset
+    _require_arrows_in_ball(engine.graph, patch, J)
+    return patch
 
 
 def recenter(

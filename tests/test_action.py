@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import gc
 import random
 import time
+import tracemalloc
 
 import pytest
 
@@ -70,6 +72,25 @@ def test_stage_visits_prefix(z_engine):
 def test_stage_injective(z2_engine):
     f = z2_engine.build_stage(20)
     assert len(set(f.vertices)) == len(f.vertices)
+
+
+def test_engine_keeps_one_path():
+    # stages nest, so the engine keeps the newest path and each stage's
+    # bounds; a copy of every stage would hold about N²/2 vertex references
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        eng = engine_for("Z", Fuel(10**9))
+        eng.build_stage(1600)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held < 4_000_000
+    f = eng.current_path()
+    assert eng.build_stage(1600) is f
+    old = eng.build_stage(800)
+    assert old.vertices == f.vertices[old.lo - f.lo : old.hi - f.lo + 1]
 
 
 # -- the action ---------------------------------------------------------------

@@ -144,10 +144,9 @@ def test_normal_forms_over_nontrivial_subgroups():
     assert amalgam_normal_form(c2_amalgam_c4(), (-2,), BIG).parts == ((1,), (2,))
 
 
-def test_normal_form_product_and_render():
+def test_normal_form_product():
     nf = NormalForm("hnn", ((), (2,), (1,)))
     assert nf.product() == (2, 1)
-    assert nf.render(("a", "t")) == "e . t . a"
     assert NormalForm("hnn", ()).product() == EPSILON
 
 

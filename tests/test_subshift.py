@@ -150,6 +150,21 @@ def test_recentered_restrictions_not_forbidden(z2):
         assert not xj_forbidden(graph, 3, patch)
 
 
+@pytest.mark.parametrize(
+    "group, least_j", [("Z2", 3), ("Z2starZ3", 2), ("FreeF2", 1), ("Z2HNN", 1)]
+)
+def test_action_patch_rejects_arrows_outside_the_ball(group, least_j):
+    # the least J whose ball holds every arrow offset of the radius-2 patch
+    eng = engine_for(group, Fuel(100_000_000))
+    region = ball(eng.graph, 0, 2)
+    for J in (1, 2, 3):
+        if J < least_j:
+            with pytest.raises(ConfigError, match=f"leaves the radius-{J} ball"):
+                action_patch(eng, region, J)
+        else:
+            assert len(action_patch(eng, region, J).domain) == len(region)
+
+
 def test_xj_requires_ball_domain(z2):
     graph = z2.graph
     a = graph.numbering.to_index((1,))
