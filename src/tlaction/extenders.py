@@ -152,13 +152,13 @@ def state_from_path(
     no-finite-component certificate and a canonical witness pair must
     exist.  A caller that has certified the complement already passes the
     ``boundary`` the decider certified; otherwise the image is scanned and
-    certified here.  ``image`` and ``floor`` are as in
-    :class:`ExtensibleState`."""
+    certified here, passed as the deleted set since it is not certified
+    yet.  ``image`` and ``floor`` are as in :class:`ExtensibleState`."""
     if image is None:
         image = path.image
     if boundary is None:
         boundary = dec.boundary(image)
-        if dec.find_finite_component((), image, boundary, floor) is not None:
+        if dec.find_finite_component(image, frozenset(), boundary, floor) is not None:
             return None
     pair = witness_pair(graph, path, image)
     if pair is None:

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from tlaction import (
     CayleyGraph,
@@ -18,10 +20,18 @@ from tlaction import (
     engine_for,
 )
 from tlaction import decidability, extenders
-from tlaction.decidability import _boundary_vertices, _finite_component_steps, witness_pair
+from tlaction.decidability import (
+    _boundary_vertices,
+    _connectivity_steps,
+    _dovetail_query,
+    _finite_component_steps,
+    _local_certificate,
+    witness_pair,
+)
 from tlaction.extenders import state_from_path
 
 from oracles import grid_no_finite_component
+from test_goldens import STAGE_DIGESTS, _digest, stage_list
 
 
 @pytest.fixture(scope="module")
@@ -195,21 +205,32 @@ def test_decider_mode_validation(z):
 # -- carried boundaries ----------------------------------------------------------
 
 
+def full_joiner_verdict(graph, dec, v):
+    """The verdict of the dovetail with the full joiner seeded from a full
+    scan of ∂V, on a fresh fuel meter."""
+    fuel = Fuel(10**9)
+    target = 2 if dec.mode == "two" else 1
+    finder = _finite_component_steps(graph, v, fuel)
+    joiner = _connectivity_steps(graph, _boundary_vertices(graph, v), v, frozenset(), target, fuel)
+    return _dovetail_query(finder, joiner)[0]
+
+
 @pytest.mark.parametrize("group,last", [("Z", 100), ("Z2", 100), ("Z3", 60), ("BS12", 50)])
 def test_carried_boundary_matches_full_scan(monkeypatch, group, last):
-    # every query of real stage growth starts the connectivity search from
-    # the V0 list a full scan of the deleted set gives, and every boundary
-    # the extenders get back and carry is the full scan's
+    # every query of real stage growth gives the verdict of the full joiner
+    # run on the same V, and every boundary the extenders get back and
+    # carry is the full scan's
     eng = engine_for(group, Fuel(10**9))
     graph, dec = eng.graph, eng.dec
     counts = {"queries": 0, "absorbed": 0}
-    joiner = decidability._connectivity_steps
+    query = EndsDecider.find_finite_component
     absorb = extenders._absorb_into
 
-    def checked_joiner(graph, v0, deleted, extra, target, fuel):
-        assert v0 == _boundary_vertices(graph, frozenset(deleted) | extra)
+    def checked_query(self, deleted, image=frozenset(), boundary=None, floor=0):
+        witness = query(self, deleted, image, boundary, floor)
+        assert witness == full_joiner_verdict(graph, self, image | self.augmented(deleted))
         counts["queries"] += 1
-        return joiner(graph, v0, deleted, extra, target, fuel)
+        return witness
 
     def checked_absorb(graph, dec, regions, *carried):
         grown = absorb(graph, dec, regions, *carried)
@@ -218,7 +239,7 @@ def test_carried_boundary_matches_full_scan(monkeypatch, group, last):
         counts["absorbed"] += 1
         return grown
 
-    monkeypatch.setattr(decidability, "_connectivity_steps", checked_joiner)
+    monkeypatch.setattr(EndsDecider, "find_finite_component", checked_query)
     monkeypatch.setattr(extenders, "_absorb_into", checked_absorb)
     for i in range(last + 1):
         eng.build_stage(i)
@@ -226,6 +247,113 @@ def test_carried_boundary_matches_full_scan(monkeypatch, group, last):
         assert sorted(st.boundary) == _boundary_vertices(graph, dec.augmented(st.image))
         assert st.floor == min(set(range(len(st.image) + 1)) - st.image)
     assert counts["queries"] > last and counts["absorbed"] >= last
+
+
+# -- local certificates ----------------------------------------------------------
+
+
+def local_certifies(graph, image, added):
+    """Whether the one-layer local certificate holds for V = image ∪ added,
+    given as coordinate pairs of Z2."""
+    s = frozenset(z2_indices(graph, sorted(image)))
+    v = s | frozenset(z2_indices(graph, sorted(added)))
+    return _local_certificate(graph, s, v, Fuel(10**6))
+
+
+def within_two(points):
+    """The grid points outside ``points`` within distance 2 of one of them."""
+    return sorted(
+        {(x + dx, y + dy) for x, y in points for dx in range(-2, 3) for dy in range(-2, 3)
+         if abs(dx) + abs(dy) <= 2} - set(points)
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_local_certificate_is_sound(z2, data):
+    image = data.draw(st.sets(st.tuples(st.integers(-2, 2), st.integers(-2, 2)), min_size=1, max_size=6))
+    assume(grid_no_finite_component(image, dim=2))
+    added = data.draw(st.sets(st.sampled_from(within_two(image)), min_size=1, max_size=5))
+    if local_certifies(z2, image, added):
+        assert grid_no_finite_component(image | added, dim=2), (image, added)
+
+
+@pytest.mark.parametrize(
+    "image,added,certified",
+    [
+        # the added vertex closes the cell at the origin against the image
+        ({(0, 1), (1, 0), (0, -1)}, {(-1, 0)}, False),
+        # two clusters at distance 2 enclose the vertex between them
+        ({(1, 1), (1, -1)}, {(0, 0), (2, 0)}, False),
+        # two clusters at distance 2 with free space between them
+        ({(0, 0)}, {(1, 0), (3, 0)}, True),
+    ],
+)
+def test_local_certificate_fixed_cases(z2, image, added, certified):
+    assert grid_no_finite_component(image, dim=2)
+    assert local_certifies(z2, image, added) == certified
+    dec = one_ended(z2, 500_000)
+    s = frozenset(z2_indices(z2, sorted(image)))
+    witness = dec.find_finite_component(z2_indices(z2, sorted(added)), s)
+    assert (witness is None) == grid_no_finite_component(image | added, dim=2)
+
+
+def test_cluster_without_free_neighbour_needs_a_certified_image(z2):
+    # R = {origin} has no free neighbour inside the cross, so its side is
+    # empty and passes; a certified image cannot leave such a cluster, since
+    # it would be a finite component of the image's complement.  The cross
+    # arms alone enclose the origin: they are not certified, so a far
+    # vertex would pass the rule wrongly, and the uncertified set goes in
+    # as the deleted set instead
+    arms = {(1, 0), (-1, 0), (0, 1), (0, -1)}
+    assert local_certifies(z2, arms, {(0, 0)})
+    assert local_certifies(z2, arms, {(5, 5)})
+    assert not grid_no_finite_component(arms | {(5, 5)}, dim=2)
+    dec = one_ended(z2, 500_000)
+    assert dec.find_finite_component(z2_indices(z2, sorted(arms | {(5, 5)}))) == (0,)
+
+
+def test_local_layer_failing_falls_back_to_the_full_joiner(z2):
+    # filling the gap of a wall joins the two sides only around the wall's
+    # ends, beyond one layer; the full joiner certifies it in the same query
+    wall = {(x, 0) for x in range(-5, 6) if x != 0}
+    assert grid_no_finite_component(wall, dim=2)
+    assert not local_certifies(z2, wall, {(0, 0)})
+    dec = one_ended(z2, 500_000)
+    assert dec.find_finite_component(z2_indices(z2, [(0, 0)]), frozenset(z2_indices(z2, sorted(wall)))) is None
+    assert (dec.local, dec.full) == (0, 1)
+
+
+def test_bs12_certifies_through_the_fallback(monkeypatch):
+    # every query falls back to the full joiner, ends in as many dovetail
+    # rounds as before the local certificate, and the stages stay the golden's
+    rounds = []
+    dovetail = decidability._dovetail_query
+
+    def counted(finder, joiner):
+        def counting():
+            for step in finder:
+                rounds[-1] += 1
+                yield step
+
+        rounds.append(0)
+        return dovetail(counting(), joiner)
+
+    monkeypatch.setattr(decidability, "_dovetail_query", counted)
+    eng = engine_for("BS12", Fuel(10**9))
+    assert _digest(stage_list(eng, 50)) == STAGE_DIGESTS["BS12"]
+    assert eng.dec.local == 0 and eng.dec.full == len(rounds)
+    assert set(rounds) == {2}
+
+
+@pytest.mark.parametrize("group,last,local,full", [("Z2", 100, 101, 0), ("BS12", 50, 0, 51)])
+def test_certification_counts_repeat(group, last, local, full):
+    counts = []
+    for _ in range(2):
+        eng = engine_for(group, Fuel(10**9))
+        eng.build_stage(last)
+        counts.append((eng.dec.local, eng.dec.full))
+    assert counts == [(local, full)] * 2
 
 
 # -- witnesses and bi-extensibility ---------------------------------------------
