@@ -3,11 +3,16 @@
 
 Example:
     python3 scripts/build_stages.py --group Z2 --stages 12
+
+With ``--digest`` it prints instead the SHA-256 of every stage's
+``(lo, vertices)`` in order, the digest the stage goldens pin, and the
+fuel consumed.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 
 from tlaction import Fuel, engine_for, word_to_str
 
@@ -18,6 +23,7 @@ def main() -> None:
     ap.add_argument("--stages", type=int, default=12, help="last stage to build")
     ap.add_argument("--window", type=int, default=6, help="translation half-width to print")
     ap.add_argument("--fuel", type=int, default=50_000_000)
+    ap.add_argument("--digest", action="store_true", help="print the stage digest and fuel only")
     args = ap.parse_args()
 
     engine = engine_for(args.group, Fuel(args.fuel))
@@ -26,6 +32,12 @@ def main() -> None:
             f"group {args.group} acts through a cyclic subgroup; stages exist "
             "only for one- or two-ended groups (try Z, Z2, Zd, BS12)"
         )
+    if args.digest:
+        stages = [(f.lo, f.vertices) for f in map(engine.build_stage, range(args.stages + 1))]
+        digest = hashlib.sha256(repr(stages).encode()).hexdigest()
+        print(f"{args.group} stages 0..{args.stages}: sha256 {digest}")
+        print(f"fuel consumed: {engine.fuel.consumed}")
+        return
     names = engine.oracle.generator_names
 
     def label(v: int) -> str:

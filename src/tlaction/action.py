@@ -28,7 +28,7 @@ from __future__ import annotations
 import itertools
 
 from .decidability import EndsDecider
-from .errors import ConfigError, Fuel, InvariantError, default_fuel
+from .errors import ConfigError, Fuel, InvariantError
 from .extenders import (
     ExtensibleState,
     extend_to_visit,
@@ -38,7 +38,6 @@ from .extenders import (
 from .graph import CayleyGraph, ball, distance
 from .groups import (
     GroupOracle,
-    Numbering,
     builtin_group,
     canonical_numbering,
     concat_words,
@@ -68,30 +67,19 @@ class ActionEngine:
     def __init__(
         self,
         oracle: GroupOracle,
-        numbering: Numbering | None = None,
         fuel: Fuel | None = None,
-        mode: str | None = None,
         instance: ZSubgroupInstance | None = None,
     ):
         self.oracle = oracle
-        self.fuel = fuel if fuel is not None else Fuel(default_fuel())
-        self.numbering = numbering if numbering is not None else canonical_numbering(oracle, self.fuel)
+        self.fuel = fuel or Fuel()
+        self.numbering = canonical_numbering(oracle, self.fuel)
         self.graph = CayleyGraph(oracle, self.numbering, self.fuel)
-        if mode is None:
-            mode = "transitive" if oracle.declared_ends in (1, 2) else "subgroup"
-        if mode not in ("transitive", "subgroup"):
-            raise ConfigError(f"engine mode must be 'transitive' or 'subgroup', got {mode!r}")
-        self.mode = mode
+        ends = oracle.declared_ends
+        self.mode = "transitive" if ends in (1, 2) else "subgroup"
         self._bounds: list[tuple[int, int]] = []
         self._state: ExtensibleState | None = None
         self.visited_index: dict[int, int] = {}
-        if mode == "transitive":
-            ends = oracle.declared_ends
-            if ends not in (1, 2):
-                raise ConfigError(
-                    "transitive mode requires a one- or two-ended group; "
-                    "many-ended groups act through a subgroup"
-                )
+        if self.mode == "transitive":
             if ends == 2:
                 cert = oracle.ends_certificate
                 if cert is None:
@@ -302,7 +290,6 @@ def engine_for(group: str | GroupOracle, fuel: Fuel | None = None) -> ActionEngi
     for one-/two-ended groups, subgroup mode with the designated cyclic
     subgroup for the many-ended built-ins."""
     oracle = builtin_group(group) if isinstance(group, str) else group
-    fuel = fuel if fuel is not None else Fuel(default_fuel())
     if oracle.declared_ends in (1, 2):
         return ActionEngine(oracle, fuel=fuel)
     return ActionEngine(oracle, fuel=fuel, instance=instance_for(oracle.name))

@@ -65,11 +65,11 @@ _CHECK_BUDGET = 10_000  # enumeration budget for overlay-forbidden checks
 class RunConfig:
     """Shared run parameters: group, step budget, ball radius bound, seed."""
 
-    group: str = "Z2"
-    fuel: int = 0  # 0 means "resolve the default at construction"
-    J: int = 3
-    seed: int = 0
-    output: str | None = None
+    group: str
+    fuel: int
+    J: int
+    seed: int
+    output: str | None
 
     def __post_init__(self):
         if self.fuel <= 0:

@@ -14,41 +14,38 @@ query dovetails two searches:
   whose removal leaves the two infinite sides).
 
 The verdict is the finder's: the joiner only decides when a query with
-no finite component stops.
+no finite component stops.  A query that finds none returns a
+:class:`Certified`, the certificate of V; only the decider makes them.
 
-A query names V as ``image ∪ deleted``, where ``image`` is a set S whose
-complement the caller has already certified to have no finite component
-(or is empty).  In one-ended mode the joiner first tries a local
-certificate from the added vertices R = V ∖ S alone:
+A query names V as ``base.image ∪ deleted``, where ``base`` is a
+:class:`Certified` this decider returned (or :data:`NOTHING`, the empty
+one).  In one-ended mode the joiner first tries a local certificate from
+the added vertices R = V ∖ S, where S = ``base.image``:
 
 - split R into its adjacency components Rᵢ, and let Bᵢ = N(Rᵢ) ∖ V, the
   free neighbours of each cluster;
 - run one layer of the connectivity search seeded from ⋃Bᵢ;
 - if each Bᵢ lies in one class, V is certified.
 
-Why this is sound: suppose the complement of S has no finite component
-and a finite component C of the complement of V exists.  C touches some
-Rₘ, since otherwise all its outside neighbours lie in S and C would be a
-finite component of the complement of S.  Bₘ meets C, so all of Bₘ lies
-in C.  Then C together with every Rₘ it touches is finite and connected,
-and all its outside neighbours lie in S (a cluster's neighbours in R lie
-in the cluster), so it is a finite component of the complement of S, a
-contradiction.  The rule is also complete on one-ended graphs, but it may
-need many layers; one layer is tried, and if it does not certify, the
-same round goes on with the full joiner seeded from the whole boundary
-∂V in sorted order, so the fallback adds no round.  Two-ended mode uses
-the full joiner only.  The rule needs ``image`` certified: a caller with
-an uncertified set passes it as ``deleted``.
+Why this is sound: the complement of S has no finite component, since S
+is certified.  Suppose a finite component C of the complement of V exists.
+C touches some Rₘ, since otherwise all its outside neighbours lie in S and
+C would be a finite component of the complement of S.  Bₘ meets C, so
+all of Bₘ lies in C.  Then C together with every Rₘ it touches is finite
+and connected, and all its outside neighbours lie in S (a cluster's
+neighbours in R lie in the cluster), so it is a finite component of the
+complement of S, a contradiction.  The rule is also complete on
+one-ended graphs, but it may need many layers; one layer is tried, and if
+it does not certify, the same round goes on with the full joiner seeded
+from the whole boundary ∂V in sorted order, so the fallback adds no
+round.  Two-ended mode uses the full joiner only.
 
 ∂V, the complement vertices adjacent to V, is the full joiner's seed.  A
-caller that grows V stage by stage carries the boundary of the set it
-had certified (:meth:`EndsDecider.boundary`) and passes it with the new
-vertices: the boundary of the grown set is then (old boundary ∖ V) ∪
-(neighbours of the new vertices ∖ V), so a query scans the new vertices
-and the old boundary instead of all of V.  The growing-ball search
-likewise starts its scan for the least vertex outside V at a given
-floor.  Nothing is cached between queries: the carried sets belong to
-the caller, and the decider keeps only counts of its certifications.
+certificate carries ∂S, so the boundary of V is (∂S ∖ V) ∪ (N(R) ∖ V)
+and a query scans only R.  It carries the least vertex outside S too,
+where the finder starts its scan for the least vertex outside V.  Nothing
+is cached between queries: the certificates belong to the caller, and
+the decider keeps only counts of its certifications.
 
 The connectivity search is only complete under the *declared* end count
 (which is input, not computed); detectably impossible outcomes raise
@@ -64,7 +61,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
-from .errors import ConfigError, EndsDeclarationError, Fuel, default_fuel
+from .errors import ConfigError, EndsDeclarationError, Fuel
 from .graph import ball, components_of
 from .paths import ThreePath
 
@@ -83,23 +80,33 @@ def _finite_component_steps(
 ) -> Iterator[tuple | None]:
     """Generator yielding None per round; yields the witness component when found.
 
-    The deleted set V is ``deleted ∪ extra``.  Round n compares the
-    components of (ball of radius n around the least vertex outside V)
-    minus V against those of the radius-(n+1) ball: a component with
-    identical vertex set in both is closed under adjacency in the full
-    graph, hence a finite component of the complement.
+    The deleted set V is ``deleted ∪ extra``.  Round n grows the ball B(n)
+    around the least vertex outside V by one layer, and the witness is the
+    first component c of B(n) ∖ V, in order of least vertex, with no
+    neighbour outside V ∪ c: c is closed under adjacency in the full graph,
+    hence a finite component of the complement.  Since c ⊆ B(n) puts every
+    neighbour of c in B(n+1), c is closed exactly when it is also a
+    component of B(n+1) ∖ V.
     """
     v0 = _least_outside(deleted, extra, floor)
-    n = 0
+    seen = {v0}
+    inner = {v0}
+    layer = [v0]
     while True:
-        n += 1
-        inner = ball(graph, v0, n) - deleted - extra
-        outer = ball(graph, v0, n + 1) - deleted - extra
-        fuel.tick(len(outer) + 1)
-        comps_inner = components_of(graph, inner)
-        comps_outer = set(components_of(graph, outer))
-        witness = next((c for c in comps_inner if c in comps_outer), None)
-        yield witness
+        nxt: list[int] = []
+        for v in layer:
+            for u in graph.neighbors(v):
+                if u not in seen:
+                    seen.add(u)
+                    nxt.append(u)
+        layer = nxt
+        inner.update(u for u in nxt if u not in deleted and u not in extra)
+        fuel.tick(len(inner) + 1)
+        closed = (
+            c for c in components_of(graph, inner)
+            if all(u in inner or u in deleted or u in extra for x in c for u in graph.neighbors(x))
+        )
+        yield next(closed, None)
 
 
 def _boundary_vertices(graph, deleted: frozenset[int]) -> list[int]:
@@ -262,6 +269,31 @@ def _dovetail_query(
             return witness, route
 
 
+@dataclass(frozen=True)
+class Certified:
+    """A vertex set whose complement the decider certified to have no
+    finite component, as :meth:`EndsDecider.find_finite_component` returns it.
+
+    ``image`` is the set V the queries named, without the separator;
+    ``boundary`` is ∂V, the complement vertices adjacent to V or to the
+    separator; ``floor`` is the least vertex outside ``image``, found on
+    construction by scanning up from the given value.
+    """
+
+    image: frozenset[int]
+    boundary: frozenset[int]
+    floor: int = 0
+
+    def __post_init__(self) -> None:
+        floor = self.floor
+        while floor in self.image:
+            floor += 1
+        object.__setattr__(self, "floor", floor)
+
+
+NOTHING = Certified(frozenset(), frozenset())
+
+
 @dataclass
 class EndsDecider:
     """Mode-aware decider for "the complement of V has no finite component".
@@ -276,7 +308,7 @@ class EndsDecider:
     graph: object
     mode: str  # "one" | "two"
     separator: frozenset[int] = frozenset()
-    fuel: Fuel = field(default_factory=lambda: Fuel(default_fuel()))
+    fuel: Fuel = field(default_factory=Fuel)
     local: int = field(default=0, init=False, compare=False)
     full: int = field(default=0, init=False, compare=False)
 
@@ -290,22 +322,11 @@ class EndsDecider:
         base = frozenset(deleted)
         return base | self.separator if self.mode == "two" else base
 
-    def boundary(
-        self,
-        deleted: Iterable[int],
-        image: frozenset[int] = frozenset(),
-        image_boundary: frozenset[int] = frozenset(),
-    ) -> frozenset[int]:
-        """∂V: the complement vertices adjacent to V = image ∪ deleted,
-        augmented.
-
-        ``image_boundary`` must be ``self.boundary(image)``.  Then ∂V is
-        (∂image ∖ V) ∪ (N(V ∖ image) ∖ V), so only the vertices V adds to
-        the image are scanned; with the default empty image every vertex
-        of V is.
-        """
-        extra = self.augmented(deleted)
-        out = {b for b in image_boundary if b not in extra}
+    def _boundary(self, extra: frozenset[int], base: Certified) -> frozenset[int]:
+        """∂V for V = S ∪ extra, S = base.image: (∂S ∖ V) ∪ (N(V ∖ S) ∖ V),
+        so only the vertices V adds to S are scanned."""
+        image = base.image
+        out = {b for b in base.boundary if b not in extra}
         for v in extra:
             if v in image:
                 continue
@@ -315,39 +336,35 @@ class EndsDecider:
         return frozenset(out)
 
     def find_finite_component(
-        self,
-        deleted: Iterable[int],
-        image: frozenset[int] = frozenset(),
-        boundary: frozenset[int] | None = None,
-        floor: int = 0,
-    ) -> tuple[int, ...] | None:
-        """Witness component of the complement of V = image ∪ deleted,
-        augmented, or None if it has none.
+        self, deleted: Iterable[int], base: Certified = NOTHING
+    ) -> tuple[int, ...] | Certified:
+        """Witness component of the complement of V = base.image ∪ deleted,
+        augmented, or the certificate of V when it has none.
 
-        ``image`` must be empty or a set whose complement has no finite
-        component: in one-ended mode the local certificate relies on it.
-        ``boundary`` is ∂V when the caller has it from :meth:`boundary`;
-        without it V is scanned in full.  Every vertex below ``floor`` must
-        lie in V: the growing-ball search starts from the least vertex
-        outside V and looks for it from ``floor`` up.
+        ``base`` must be a certificate this decider returned: in one-ended
+        mode the local certificate relies on it.
         """
+        deleted = frozenset(deleted)
         extra = self.augmented(deleted)
-        if boundary is None:
-            boundary = self.boundary(image | extra)
-        finder = _finite_component_steps(self.graph, image, self.fuel, extra, floor)
+        boundary = self._boundary(extra, base)
+        finder = _finite_component_steps(self.graph, base.image, self.fuel, extra, base.floor)
         if self.mode == "two":
-            joiner = _connectivity_steps(self.graph, sorted(boundary), image, extra, 2, self.fuel)
+            joiner = _connectivity_steps(
+                self.graph, sorted(boundary), base.image, extra, 2, self.fuel
+            )
         else:
-            joiner = _one_ended_steps(self.graph, image, extra, boundary, self.fuel)
+            joiner = _one_ended_steps(self.graph, base.image, extra, boundary, self.fuel)
         witness, route = _dovetail_query(finder, joiner)
+        if route is None:
+            return witness
         if route == "local":
             self.local += 1
-        elif route == "full":
+        else:
             self.full += 1
-        return witness
+        return Certified(base.image | deleted, boundary, base.floor)
 
     def no_finite_component(self, deleted: Iterable[int]) -> bool:
-        return self.find_finite_component(deleted) is None
+        return isinstance(self.find_finite_component(deleted), Certified)
 
 
 def witness_pair(

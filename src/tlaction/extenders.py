@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
-from .decidability import EndsDecider, witness_pair
+from .decidability import NOTHING, Certified, EndsDecider, witness_pair
 from .errors import InvariantError
 from .graph import distance, induced_patch, shortest_path
 from .paths import ThreePath, check_jumps, extend_path, karaganis_path
@@ -34,32 +34,18 @@ class ExtensibleState:
     """A bi-extensible 3-path bundled with its extensibility evidence.
 
     ``witness_end`` is an unvisited vertex within distance 3 of the last
-    path vertex; ``witness_start`` likewise for the first vertex.  The
-    complement certificate itself is not stored: it was checked by the
-    decider when the state was built.  The next extension's decider
-    queries start from three more fields:
-
-    - ``image``, the path's vertex set;
-    - ``boundary``, the complement vertices adjacent to the image, as
-      :meth:`EndsDecider.boundary` returns them;
-    - ``floor``, the least unvisited vertex, found on construction by
-      scanning up from the given value, below which every vertex must be
-      visited.
+    path vertex; ``witness_start`` likewise for the first vertex.
+    ``certified`` is the decider's certificate of the path's vertex set,
+    the base of the next extension's decider queries.
     """
 
     path: ThreePath
     witness_end: int
     witness_start: int
-    image: frozenset[int] = field(repr=False, compare=False)
-    boundary: frozenset[int] = field(repr=False, compare=False)
-    floor: int = field(default=0, compare=False)
+    certified: Certified = field(repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        image = self.image
-        floor = self.floor
-        while floor in image:
-            floor += 1
-        object.__setattr__(self, "floor", floor)
+        image = self.certified.image
         if self.witness_end in image:
             raise InvariantError("end witness must be unvisited")
         if self.witness_start in image:
@@ -73,34 +59,25 @@ def _adjacent_to(graph, component: Iterable[int], region: set[int] | frozenset[i
 
 
 def _absorb_into(
-    graph,
-    dec: EndsDecider,
-    regions: list[set[int]],
-    image: frozenset[int] = frozenset(),
-    boundary: frozenset[int] = frozenset(),
-    floor: int = 0,
-) -> frozenset[int]:
-    """Absorb finite complement components of image ∪ ⋃regions into the regions.
+    graph, dec: EndsDecider, regions: list[set[int]], base: Certified
+) -> Certified:
+    """Absorb finite complement components of base.image ∪ ⋃regions into
+    the regions.
 
-    ``boundary`` is the image's and ``floor`` a lower bound for the least
-    vertex outside it (see :class:`ExtensibleState`), so each decider query
-    scans only the regions.  Each witness component is attached to the
-    first region it is adjacent to, keeping every region connected.  Once
-    the decider certifies that no finite component remains, returns the
-    boundary of image ∪ ⋃regions.  A component adjacent to none of the
-    regions cannot be covered by any path through them; this only happens
-    when the image alone encloses it, which the caller's bi-extensibility
-    precondition rules out.
+    Each witness component is attached to the first region it is adjacent
+    to, keeping every region connected.  Once the decider certifies that
+    no finite component remains, returns its certificate.  A component
+    adjacent to none of the regions cannot be covered by any path through
+    them; this only happens when the base image alone encloses it, which
+    the caller's bi-extensibility precondition rules out.
     """
     while True:
-        added = set().union(*regions)
-        grown = dec.boundary(added, image, boundary)
-        witness = dec.find_finite_component(added, image, grown, floor)
-        if witness is None:
-            return grown
+        found = dec.find_finite_component(set().union(*regions), base)
+        if isinstance(found, Certified):
+            return found
         for r in regions:
-            if _adjacent_to(graph, witness, r):
-                r.update(witness)
+            if _adjacent_to(graph, found, r):
+                r.update(found)
                 break
         else:
             raise InvariantError(
@@ -140,31 +117,23 @@ def _exit_vertex(
 
 
 def state_from_path(
-    graph,
-    dec: EndsDecider,
-    path: ThreePath,
-    image: frozenset[int] | None = None,
-    boundary: frozenset[int] | None = None,
-    floor: int = 0,
+    graph, dec: EndsDecider, path: ThreePath, certified: Certified | None = None
 ) -> ExtensibleState | None:
     """Bundle an existing path into a bi-extensible state, or None if it
     does not qualify: the complement must carry the decider's
     no-finite-component certificate and a canonical witness pair must
-    exist.  A caller that has certified the complement already passes the
-    ``boundary`` the decider certified; otherwise the image is scanned and
-    certified here, passed as the deleted set since it is not certified
-    yet.  ``image`` and ``floor`` are as in :class:`ExtensibleState`."""
-    if image is None:
-        image = path.image
-    if boundary is None:
-        boundary = dec.boundary(image)
-        if dec.find_finite_component(image, frozenset(), boundary, floor) is not None:
+    exist.  ``certified`` is the decider's certificate of the path's
+    vertex set when the caller has it; otherwise the path is certified
+    here."""
+    if certified is None:
+        certified = dec.find_finite_component(path.image)
+        if not isinstance(certified, Certified):
             return None
-    pair = witness_pair(graph, path, image)
+    pair = witness_pair(graph, path, certified.image)
     if pair is None:
         return None
     ws, we = pair
-    return ExtensibleState(path, we, ws, image, boundary, floor)
+    return ExtensibleState(path, we, ws, certified)
 
 
 def make_bi_extensible(graph, dec: EndsDecider, w: int) -> ExtensibleState:
@@ -179,7 +148,7 @@ def make_bi_extensible(graph, dec: EndsDecider, w: int) -> ExtensibleState:
     if not nbrs:
         raise InvariantError(f"vertex {w} is isolated")
     region = {w, nbrs[0]}
-    certified = _absorb_into(graph, dec, [region])
+    certified = _absorb_into(graph, dec, [region], NOTHING)
     patch = induced_patch(graph, region)
     boundary = [
         x
@@ -194,7 +163,7 @@ def make_bi_extensible(graph, dec: EndsDecider, w: int) -> ExtensibleState:
         raise InvariantError("region is not connected at its boundary vertex")
     v = region_nbrs[0]
     path = ThreePath(start=0, vertices=karaganis_path(patch, u, v))
-    state = state_from_path(graph, dec, path, frozenset(region), certified)
+    state = state_from_path(graph, dec, path, certified)
     if state is None:
         raise InvariantError("construction left no distinct witness pair")
     return state
@@ -212,14 +181,14 @@ def _validate_candidate(
     new: ThreePath,
     w: int,
     added: set[int],
-    boundary: frozenset[int] | None,
+    certified: Certified | None,
 ) -> ExtensibleState | None:
     """The extension contract.  Returns the new state, or None if any
     condition fails: new extends old exactly, domain grew strictly on both
     sides, w is visited, all new jumps are within 3, the complement carries
     the no-finite-component certificate, and a canonical witness pair exists.
-    ``added`` is the set of new vertices, and ``boundary`` the one the
-    decider certified for the new image, or None to certify it here.
+    ``added`` is the set of new vertices, and ``certified`` the decider's
+    certificate of the new image, or None to certify it here.
     """
     old = st.path
     lo_off = old.lo - new.lo
@@ -227,14 +196,18 @@ def _validate_candidate(
         return None
     if not (new.lo < old.lo and new.hi > old.hi):
         return None
-    if w not in st.image and w not in added:
+    if w not in st.certified.image and w not in added:
         return None
     try:
         new_positions = list(range(new.lo, old.lo)) + list(range(old.hi, new.hi))
         check_jumps(graph, new, max_jump=3, positions=new_positions)
     except InvariantError:
         return None
-    return state_from_path(graph, dec, new, st.image | added, boundary, st.floor)
+    if certified is None:
+        certified = dec.find_finite_component(added, st.certified)
+        if not isinstance(certified, Certified):
+            return None
+    return state_from_path(graph, dec, new, certified)
 
 
 def _splice(old: ThreePath, left_walk: tuple[int, ...], right_walk: tuple[int, ...]) -> ThreePath:
@@ -255,7 +228,7 @@ def _try_split(
     walked Hamiltonianly witness-to-witness, then split at a consecutive
     close pair into the two side extensions."""
     f = st.path
-    image = st.image
+    image = st.certified.image
     u, v = st.witness_start, st.witness_end
     pu = shortest_path(graph, u, w_eff, avoid=image, cap=radius)
     if pu is None:
@@ -264,7 +237,7 @@ def _try_split(
     if pv is None:
         return None
     region = set(pu) | set(pv)
-    boundary = _absorb_into(graph, dec, [region], image, st.boundary, st.floor)
+    certified = _absorb_into(graph, dec, [region], st.certified)
     patch = induced_patch(graph, region)
     try:
         walk = karaganis_path(patch, u, v)
@@ -285,7 +258,7 @@ def _try_split(
             cand = _splice(f, left, right)
         except InvariantError:
             continue
-        state = _validate_candidate(graph, dec, st, cand, w, region, boundary)
+        state = _validate_candidate(graph, dec, st, cand, w, region, certified)
         if state is not None:
             return state
     return None
@@ -303,7 +276,7 @@ def _try_one_side(
     """Fast path for a target reachable from only one witness: that side
     carries a region covering the target, the other side grows minimally."""
     f = st.path
-    image = st.image
+    image = st.certified.image
     u, v = st.witness_start, st.witness_end
     main_entry, other_entry = (v, u) if side == "right" else (u, v)
     p = shortest_path(graph, main_entry, w_eff, avoid=image, cap=radius)
@@ -313,7 +286,7 @@ def _try_one_side(
     if other_entry in main:
         return None
     other = {other_entry}
-    boundary = _absorb_into(graph, dec, [main, other], image, st.boundary, st.floor)
+    certified = _absorb_into(graph, dec, [main, other], st.certified)
     if main & other:
         return None
     try:
@@ -330,7 +303,7 @@ def _try_one_side(
         cand = _splice(f, left_walk, right_walk)
     except InvariantError:
         return None
-    return _validate_candidate(graph, dec, st, cand, w, main | other, boundary)
+    return _validate_candidate(graph, dec, st, cand, w, main | other, certified)
 
 
 def _enumerate_candidates(
@@ -340,8 +313,6 @@ def _enumerate_candidates(
     in deterministic order.  Walks run junction-to-outward: entries must be
     within jump 3 of the path ends, consecutive walk vertices within jump 3
     of each other."""
-    pool_set = set(pool)
-
     def chains(start_anchor: int, length: int, used: set[int]) -> Iterator[tuple[int, ...]]:
         def rec(prefix: list[int]) -> Iterator[tuple[int, ...]]:
             if len(prefix) == length:
@@ -349,7 +320,7 @@ def _enumerate_candidates(
                 return
             anchor = prefix[-1] if prefix else start_anchor
             for x in pool:
-                if x in used or x in prefix or x not in pool_set:
+                if x in used or x in prefix:
                     continue
                 if distance(graph, anchor, x, cap=3) is None:
                     continue
@@ -376,7 +347,7 @@ def _try_enumerate(
     path, and put through the same validator as the fast paths.
     """
     f = st.path
-    image = st.image
+    image = st.certified.image
     pool_verts: set[int] = set()
     frontier = list(image)
     seen = set(image)
@@ -418,7 +389,7 @@ def extend_to_visit(graph, dec: EndsDecider, st: ExtensibleState, w: int) -> Ext
     when the budget runs out — on a correctly declared one- or two-ended
     graph the search always succeeds first.
     """
-    w_eff = w if w not in st.image else st.witness_end
+    w_eff = w if w not in st.certified.image else st.witness_end
     radius = 4
     while True:
         dec.fuel.tick()

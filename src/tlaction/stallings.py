@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .errors import ConfigError, Fuel, InvariantError, default_fuel
+from .errors import ConfigError, Fuel, InvariantError
 from .groups import (
     EPSILON,
     GroupOracle,
@@ -202,7 +202,7 @@ def coset_representatives(
     fewer cosets than requested, the complete (shorter) sequence is
     returned.
     """
-    fuel = fuel if fuel is not None else Fuel(default_fuel())
+    fuel = fuel or Fuel()
     numbering = canonical_numbering(oracle, fuel)
     reps: list[Word] = []
     index = 0
@@ -264,7 +264,7 @@ def hnn_normal_form(d: HnnData, w: Word, fuel: Fuel | None = None) -> NormalForm
     One fuel step per letter; the base numbering's new levels tick ``fuel``
     too.
     """
-    fuel = fuel if fuel is not None else Fuel(default_fuel())
+    fuel = fuel or Fuel()
     ext = d.extension
     t = d.stable_letter
     base_letters = _signed_inverse(d.base_letter_map)
@@ -307,7 +307,7 @@ def amalgam_normal_form(d: AmalgamData, w: Word, fuel: Fuel | None = None) -> No
     syllable unless trivial.  One fuel step per letter; the factor
     numberings' new levels tick ``fuel`` too.
     """
-    fuel = fuel if fuel is not None else Fuel(default_fuel())
+    fuel = fuel or Fuel()
     factors = (d.left, d.right)
     subgroups = (d.subgroup_a, d.subgroup_b)
     to_extension = (d.left_to_extension, d.right_to_extension)
@@ -397,7 +397,7 @@ def z_subgroup_membership(
     equals (uv)^-k in the extension, and an odd syllable count never is.
     The identity (empty normal form tail) is a member in both cases.
     """
-    fuel = fuel if fuel is not None else Fuel(default_fuel())
+    fuel = fuel or Fuel()
     d = inst.data
     if isinstance(d, HnnData):
         return _is_t_power(hnn_normal_form(d, w, fuel), d.stable_letter)
@@ -422,7 +422,7 @@ def split_generator_power(
     for an amalgam — is stripped, each pair counting ±1 in n, and p is the
     product of the parts left.
     """
-    fuel = fuel if fuel is not None else Fuel(default_fuel())
+    fuel = fuel or Fuel()
     d = inst.data
     if isinstance(d, HnnData):
         nf = hnn_normal_form(d, w, fuel)

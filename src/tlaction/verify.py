@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass, field
 
 from .action import engine_for
-from .errors import ConfigError, Fuel, default_fuel
+from .errors import ConfigError, Fuel
 from .graph import FinitePatch, ball, distance
 from .groups import (
     builtin_group,
@@ -62,7 +62,7 @@ class _Ctx:
     group: str
     seed: int
     J: int
-    budget: int
+    budget: int | None  # None: the default budget
     rng: random.Random = field(init=False)
     fuels: list[Fuel] = field(default_factory=list)
 
@@ -449,7 +449,7 @@ def run_suite(
         raise ConfigError(
             f"suite {suite!r} selects zero checks; known suites: {', '.join(SUITES)}"
         )
-    ctx = _Ctx(group=group, seed=seed, J=J, budget=fuel if fuel is not None else default_fuel())
+    ctx = _Ctx(group=group, seed=seed, J=J, budget=fuel)
     records = []
     passes = 0
     for name, fn in selected:

@@ -412,6 +412,61 @@ def z2_ball_count(r: int) -> int:
 
 
 # ---------------------------------------------------------------------------
+# the two-ball finite-component finder (reference for the growing ball)
+# ---------------------------------------------------------------------------
+
+
+def _ball_by_distance(graph, center, radius):
+    dist = {center: 0}
+    queue = [center]
+    for x in queue:
+        if dist[x] < radius:
+            for y in graph.neighbors(x):
+                if y not in dist:
+                    dist[y] = dist[x] + 1
+                    queue.append(y)
+    return set(dist)
+
+
+def _components_by_least(graph, vertices):
+    left = set(vertices)
+    comps = []
+    for seed in sorted(vertices):
+        if seed not in left:
+            continue
+        comp, stack = {seed}, [seed]
+        left.discard(seed)
+        while stack:
+            for y in graph.neighbors(stack.pop()):
+                if y in left:
+                    left.discard(y)
+                    comp.add(y)
+                    stack.append(y)
+        comps.append(tuple(sorted(comp)))
+    return comps
+
+
+def two_ball_finder(graph, deleted, rounds: int):
+    """The finite-component finder as it rebuilt two balls every round: the
+    witness or None of each round up to ``rounds``, ending at the first
+    witness.  Round n takes the components of B(n) ∖ V and B(n+1) ∖ V,
+    where B(r) is the ball of radius r around the least vertex outside V,
+    and its witness is the first component of the first, in order of least
+    vertex, that is also one of the second."""
+    v0 = 0
+    while v0 in deleted:
+        v0 += 1
+    out = []
+    for n in range(1, rounds + 1):
+        inner = _ball_by_distance(graph, v0, n) - deleted
+        outer = set(_components_by_least(graph, _ball_by_distance(graph, v0, n + 1) - deleted))
+        out.append(next((c for c in _components_by_least(graph, inner) if c in outer), None))
+        if out[-1] is not None:
+            break
+    return out
+
+
+# ---------------------------------------------------------------------------
 # orbit keys by pairwise membership (subgroup-mode engines)
 # ---------------------------------------------------------------------------
 

@@ -290,19 +290,9 @@ def test_stages_rejected_in_subgroup_mode(f2_engine):
         f2_engine.ensure_visited(1)
 
 
-def test_transitive_mode_needs_few_ends():
-    with pytest.raises(ConfigError):
-        ActionEngine(builtin_group("FreeF2"), mode="transitive")
-
-
 def test_subgroup_mode_needs_subgroup_data():
     with pytest.raises(ConfigError):
-        ActionEngine(builtin_group("FreeF2"), mode="subgroup")
-
-
-def test_bad_mode_rejected():
-    with pytest.raises(ConfigError):
-        ActionEngine(builtin_group("Z2"), mode="sideways")
+        ActionEngine(builtin_group("FreeF2"))
 
 
 def test_tiny_fuel_exhausts():

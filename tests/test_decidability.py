@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from tlaction import (
     CayleyGraph,
+    Certified,
     ConfigError,
     EndsDecider,
     EndsDeclarationError,
@@ -19,7 +20,7 @@ from tlaction import (
     builtin_group,
     engine_for,
 )
-from tlaction import decidability, extenders
+from tlaction import decidability
 from tlaction.decidability import (
     _boundary_vertices,
     _connectivity_steps,
@@ -30,7 +31,7 @@ from tlaction.decidability import (
 )
 from tlaction.extenders import state_from_path
 
-from oracles import grid_no_finite_component
+from oracles import grid_no_finite_component, two_ball_finder
 from test_goldens import STAGE_DIGESTS, _digest, stage_list
 
 
@@ -44,12 +45,20 @@ def z():
     return CayleyGraph(builtin_group("Z"))
 
 
-def z2_indices(graph, coords):
-    """Vertex indices of integer coordinate pairs (x = a-exponent, y = b)."""
+@pytest.fixture(scope="module")
+def z3():
+    return CayleyGraph(builtin_group("Z3"))
+
+
+def grid_indices(graph, coords):
+    """Vertex indices of integer coordinate tuples of Z^d, coordinate i the
+    exponent of generator i + 1 (x = a-exponent, y = b, z = c)."""
     num = graph.numbering
     out = []
-    for x, y in coords:
-        word = (1,) * max(x, 0) + (-1,) * max(-x, 0) + (2,) * max(y, 0) + (-2,) * max(-y, 0)
+    for point in coords:
+        word = ()
+        for letter, x in enumerate(point, 1):
+            word += (letter,) * max(x, 0) + (-letter,) * max(-x, 0)
         out.append(num.to_index(word))
     return out
 
@@ -82,18 +91,70 @@ def exhausts_finite_component_search(graph, deleted, fuel):
 
 
 def test_semidecide_finds_isolated_origin(z2):
-    cross = z2_indices(z2, [(1, 0), (-1, 0), (0, 1), (0, -1)])
+    cross = grid_indices(z2, [(1, 0), (-1, 0), (0, 1), (0, -1)])
     assert one_ended(z2, 200_000).find_finite_component(cross) == (0,)
 
 
 def test_semidecide_exhausts_on_two_rays(z):
-    assert two_ended(z, 4_000).find_finite_component([z_index(z, 0)]) is None
+    assert isinstance(two_ended(z, 4_000).find_finite_component([z_index(z, 0)]), Certified)
     assert exhausts_finite_component_search(z, [z_index(z, 0)], 4_000)
 
 
 def test_semidecide_exhausts_on_annulus(z2):
-    assert one_ended(z2, 4_000).find_finite_component(ball(z2, 0, 1)) is None
+    assert isinstance(one_ended(z2, 4_000).find_finite_component(ball(z2, 0, 1)), Certified)
     assert exhausts_finite_component_search(z2, ball(z2, 0, 1), 4_000)
+
+
+FINDER_ROUNDS = 6
+
+
+def finder_matches_two_balls(graph, points):
+    """The growing-ball finder's witness or None in each round, ending at
+    its first witness, after checking it against the two-ball reference."""
+    deleted = frozenset(grid_indices(graph, sorted(points)))
+    rounds = []
+    for witness in _finite_component_steps(graph, deleted, Fuel(10**9)):
+        rounds.append(witness)
+        if witness is not None or len(rounds) == FINDER_ROUNDS:
+            break
+    assert rounds == two_ball_finder(graph, deleted, FINDER_ROUNDS), points
+    return rounds
+
+
+def grid_neighbours(point):
+    return {point[:i] + (point[i] + s,) + point[i + 1 :] for i in range(len(point)) for s in (-1, 1)}
+
+
+@pytest.mark.parametrize(
+    "dim,points,witness_round",
+    [
+        # the cross around the origin closes it in round 1
+        (2, grid_neighbours((0, 0)), 1),
+        (3, grid_neighbours((0, 0, 0)), 1),
+        # a ring around a 2-cell block three and four steps out
+        (2, (grid_neighbours((3, 0)) | grid_neighbours((4, 0))) - {(3, 0), (4, 0)}, 4),
+        # no finite component
+        (3, {(0, 0, 1), (1, 0, 0), (0, -1, 0)}, None),
+    ],
+    ids=["Z2-cross", "Z3-cross", "Z2-ring", "Z3-open"],
+)
+def test_finder_fixed_cases(z2, z3, dim, points, witness_round):
+    rounds = finder_matches_two_balls(z2 if dim == 2 else z3, points)
+    assert (len(rounds) if rounds[-1] is not None else None) == witness_round
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_finder_matches_two_ball_reference(z2, z3, data):
+    # the ring around a small cluster, with a gap or not, and a few more
+    # points: witnesses come in several rounds, or never
+    dim = data.draw(st.sampled_from([2, 3]))
+    point = st.tuples(*[st.integers(-2, 2)] * dim)
+    cluster = data.draw(st.sets(point, min_size=1, max_size=3))
+    ring = set().union(*map(grid_neighbours, cluster)) - cluster
+    gaps = data.draw(st.sets(st.sampled_from(sorted(ring)), max_size=1))
+    extra = data.draw(st.sets(point, max_size=4))
+    finder_matches_two_balls(z2 if dim == 2 else z3, (ring - gaps) | extra)
 
 
 # -- one-ended decider ------------------------------------------------------------
@@ -104,7 +165,7 @@ def test_one_end_ball_deletion_true(z2):
 
 
 def test_one_end_isolating_cross_false(z2):
-    cross = z2_indices(z2, [(1, 0), (-1, 0), (0, 1), (0, -1)])
+    cross = grid_indices(z2, [(1, 0), (-1, 0), (0, 1), (0, -1)])
     assert not one_ended(z2, 500_000).no_finite_component(cross)
 
 
@@ -120,7 +181,7 @@ def test_one_end_random_verdicts_match_window_oracle(z2, rng):
             for _ in range(rng.randrange(1, 5))
         }
         expected = grid_no_finite_component(pts, dim=2)
-        got = one_ended(z2, 2_000_000).no_finite_component(z2_indices(z2, sorted(pts)))
+        got = one_ended(z2, 2_000_000).no_finite_component(grid_indices(z2, sorted(pts)))
         assert got == expected, pts
 
 
@@ -218,35 +279,30 @@ def full_joiner_verdict(graph, dec, v):
 @pytest.mark.parametrize("group,last", [("Z", 100), ("Z2", 100), ("Z3", 60), ("BS12", 50)])
 def test_carried_boundary_matches_full_scan(monkeypatch, group, last):
     # every query of real stage growth gives the verdict of the full joiner
-    # run on the same V, and every boundary the extenders get back and
-    # carry is the full scan's
+    # run on the same V; every certificate it returns, and every one a state
+    # carries, has the full scan's boundary and the least vertex outside its
+    # image as its floor
     eng = engine_for(group, Fuel(10**9))
-    graph, dec = eng.graph, eng.dec
-    counts = {"queries": 0, "absorbed": 0}
+    graph = eng.graph
+    certified = []
     query = EndsDecider.find_finite_component
-    absorb = extenders._absorb_into
 
-    def checked_query(self, deleted, image=frozenset(), boundary=None, floor=0):
-        witness = query(self, deleted, image, boundary, floor)
-        assert witness == full_joiner_verdict(graph, self, image | self.augmented(deleted))
-        counts["queries"] += 1
-        return witness
-
-    def checked_absorb(graph, dec, regions, *carried):
-        grown = absorb(graph, dec, regions, *carried)
-        image = carried[0] if carried else frozenset()
-        assert sorted(grown) == _boundary_vertices(graph, dec.augmented(image.union(*regions)))
-        counts["absorbed"] += 1
-        return grown
+    def checked_query(self, deleted, base=decidability.NOTHING):
+        found = query(self, deleted, base)
+        v = base.image | self.augmented(deleted)
+        witness = None if isinstance(found, Certified) else found
+        assert witness == full_joiner_verdict(graph, self, v)
+        if witness is None:
+            assert sorted(found.boundary) == _boundary_vertices(graph, v)
+            assert found.floor == min(set(range(len(found.image) + 1)) - found.image)
+            certified.append(found)
+        return found
 
     monkeypatch.setattr(EndsDecider, "find_finite_component", checked_query)
-    monkeypatch.setattr(extenders, "_absorb_into", checked_absorb)
     for i in range(last + 1):
         eng.build_stage(i)
-        st = eng._state
-        assert sorted(st.boundary) == _boundary_vertices(graph, dec.augmented(st.image))
-        assert st.floor == min(set(range(len(st.image) + 1)) - st.image)
-    assert counts["queries"] > last and counts["absorbed"] >= last
+        assert eng._state.certified in certified
+    assert len(certified) > last
 
 
 # -- local certificates ----------------------------------------------------------
@@ -255,8 +311,8 @@ def test_carried_boundary_matches_full_scan(monkeypatch, group, last):
 def local_certifies(graph, image, added):
     """Whether the one-layer local certificate holds for V = image ∪ added,
     given as coordinate pairs of Z2."""
-    s = frozenset(z2_indices(graph, sorted(image)))
-    v = s | frozenset(z2_indices(graph, sorted(added)))
+    s = frozenset(grid_indices(graph, sorted(image)))
+    v = s | frozenset(grid_indices(graph, sorted(added)))
     return _local_certificate(graph, s, v, Fuel(10**6))
 
 
@@ -293,9 +349,9 @@ def test_local_certificate_fixed_cases(z2, image, added, certified):
     assert grid_no_finite_component(image, dim=2)
     assert local_certifies(z2, image, added) == certified
     dec = one_ended(z2, 500_000)
-    s = frozenset(z2_indices(z2, sorted(image)))
-    witness = dec.find_finite_component(z2_indices(z2, sorted(added)), s)
-    assert (witness is None) == grid_no_finite_component(image | added, dim=2)
+    base = dec.find_finite_component(grid_indices(z2, sorted(image)))
+    found = dec.find_finite_component(grid_indices(z2, sorted(added)), base)
+    assert isinstance(found, Certified) == grid_no_finite_component(image | added, dim=2)
 
 
 def test_cluster_without_free_neighbour_needs_a_certified_image(z2):
@@ -310,7 +366,7 @@ def test_cluster_without_free_neighbour_needs_a_certified_image(z2):
     assert local_certifies(z2, arms, {(5, 5)})
     assert not grid_no_finite_component(arms | {(5, 5)}, dim=2)
     dec = one_ended(z2, 500_000)
-    assert dec.find_finite_component(z2_indices(z2, sorted(arms | {(5, 5)}))) == (0,)
+    assert dec.find_finite_component(grid_indices(z2, sorted(arms | {(5, 5)}))) == (0,)
 
 
 def test_local_layer_failing_falls_back_to_the_full_joiner(z2):
@@ -320,8 +376,10 @@ def test_local_layer_failing_falls_back_to_the_full_joiner(z2):
     assert grid_no_finite_component(wall, dim=2)
     assert not local_certifies(z2, wall, {(0, 0)})
     dec = one_ended(z2, 500_000)
-    assert dec.find_finite_component(z2_indices(z2, [(0, 0)]), frozenset(z2_indices(z2, sorted(wall)))) is None
-    assert (dec.local, dec.full) == (0, 1)
+    base = dec.find_finite_component(grid_indices(z2, sorted(wall)))
+    local = dec.local
+    assert isinstance(dec.find_finite_component(grid_indices(z2, [(0, 0)]), base), Certified)
+    assert (dec.local - local, dec.full) == (0, 1)
 
 
 def test_bs12_certifies_through_the_fallback(monkeypatch):
@@ -368,7 +426,7 @@ def test_witnesses(z):
 
 def test_bi_extensible_examples(z2, z):
     dec2 = EndsDecider(z2, mode="one", fuel=Fuel(2_000_000))
-    horiz = z2_indices(z2, [(0, 0), (1, 0)])
+    horiz = grid_indices(z2, [(0, 0), (1, 0)])
     assert state_from_path(z2, dec2, ThreePath(0, tuple(horiz))) is not None
 
     decz = EndsDecider(z, mode="two", separator=frozenset({0}), fuel=Fuel(500_000))

@@ -131,7 +131,7 @@ def test_state_requires_distinct_unvisited_witnesses(z2_setup):
         (st.witness_start, st.path.last),
     ):
         with pytest.raises(InvariantError):
-            ExtensibleState(st.path, end, start, st.image, st.boundary)
+            ExtensibleState(st.path, end, start, st.certified)
 
 
 @pytest.mark.parametrize("group", ["Z", "Z2"])

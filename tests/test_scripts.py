@@ -9,6 +9,8 @@ from pathlib import Path
 
 import pytest
 
+from test_goldens import LAST_STAGE, STAGE_DIGESTS
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -24,6 +26,16 @@ ROOT = Path(__file__).resolve().parent.parent
     ids=" ".join,
 )
 def test_script_runs(script):
+    assert run_script(script).strip()
+
+
+def test_build_stages_digest_is_the_golden():
+    out = run_script(["build_stages.py", "--group", "Z2", "--stages", str(LAST_STAGE["Z2"]), "--digest"])
+    assert f"sha256 {STAGE_DIGESTS['Z2']}\n" in out
+    assert "fuel consumed: " in out
+
+
+def run_script(script: list[str]) -> str:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run(
@@ -34,4 +46,4 @@ def test_script_runs(script):
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip()
+    return proc.stdout
