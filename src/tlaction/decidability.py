@@ -319,8 +319,8 @@ class EndsDecider:
             raise ConfigError("two-ended decider requires a nonempty separator")
 
     def augmented(self, deleted: Iterable[int]) -> frozenset[int]:
-        base = frozenset(deleted)
-        return base | self.separator if self.mode == "two" else base
+        vertices = frozenset(deleted)
+        return vertices | self.separator if self.mode == "two" else vertices
 
     def _boundary(self, extra: frozenset[int], base: Certified) -> frozenset[int]:
         """∂V for V = S ∪ extra, S = base.image: (∂S ∖ V) ∪ (N(V ∖ S) ∖ V),

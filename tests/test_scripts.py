@@ -14,6 +14,20 @@ from test_goldens import LAST_STAGE, STAGE_DIGESTS
 ROOT = Path(__file__).resolve().parent.parent
 
 
+def run_script(script: list[str]) -> str:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / script[0]), *script[1:]],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
 @pytest.mark.parametrize(
     "script",
     [
@@ -33,17 +47,3 @@ def test_build_stages_digest_is_the_golden():
     out = run_script(["build_stages.py", "--group", "Z2", "--stages", str(LAST_STAGE["Z2"]), "--digest"])
     assert f"sha256 {STAGE_DIGESTS['Z2']}\n" in out
     assert "fuel consumed: " in out
-
-
-def run_script(script: list[str]) -> str:
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / script[0]), *script[1:]],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout
