@@ -5,8 +5,8 @@ Example:
     python3 scripts/build_stages.py --group Z2 --stages 12
 
 With ``--digest`` it prints instead the SHA-256 of every stage's
-``(lo, vertices)`` in order, the digest the stage goldens pin, and the
-fuel consumed.
+``(lo, vertices)`` in order, the digest the stage goldens pin, the fuel
+consumed and the number of words the numbering holds.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ def main() -> None:
     ap.add_argument("--stages", type=int, default=12, help="last stage to build")
     ap.add_argument("--window", type=int, default=6, help="translation half-width to print")
     ap.add_argument("--fuel", type=int, default=50_000_000)
-    ap.add_argument("--digest", action="store_true", help="print the stage digest and fuel only")
+    ap.add_argument("--digest", action="store_true", help="print the digest, fuel and numbering size only")
     args = ap.parse_args()
 
     engine = engine_for(args.group, Fuel(args.fuel))
@@ -37,6 +37,7 @@ def main() -> None:
         digest = hashlib.sha256(repr(stages).encode()).hexdigest()
         print(f"{args.group} stages 0..{args.stages}: sha256 {digest}")
         print(f"fuel consumed: {engine.fuel.consumed}")
+        print(f"numbering words: {engine.numbering.known_count()}")
         return
     names = engine.oracle.generator_names
 

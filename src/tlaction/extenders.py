@@ -25,7 +25,7 @@ from typing import Iterable, Iterator
 
 from .decidability import NOTHING, Certified, EndsDecider, witness_pair
 from .errors import InvariantError
-from .graph import distance, induced_patch, shortest_path
+from .graph import distance, induced_patch, reachable, shortest_path
 from .paths import ThreePath, check_jumps, extend_path, karaganis_path
 
 
@@ -230,9 +230,11 @@ def _try_split(
     f = st.path
     image = st.certified.image
     u, v = st.witness_start, st.witness_end
-    pu = shortest_path(graph, u, w_eff, avoid=image, cap=radius)
-    if pu is None:
+    # most splits fail here; two half-radius balls decide it more cheaply
+    # than the full-radius search below
+    if not reachable(graph, u, w_eff, image, radius):
         return None
+    pu = shortest_path(graph, u, w_eff, avoid=image, cap=radius)
     pv = shortest_path(graph, v, w_eff, avoid=image, cap=radius)
     if pv is None:
         return None

@@ -9,7 +9,8 @@ infinite graph in the package.
 Finite fragments are materialised as :class:`FinitePatch` values:
 immutable induced subgraphs with DOT/JSON export.  The breadth-first
 searches (:func:`ball`, :func:`distance`, :func:`shortest_path`,
-:func:`components_of`) read only ``neighbors`` and so run on either kind.
+:func:`reachable`, :func:`components_of`) read only ``neighbors`` and so
+run on either kind.
 """
 
 from __future__ import annotations
@@ -65,15 +66,18 @@ class CayleyGraph:
 # ---------------------------------------------------------------------------
 
 
-def ball(graph, center: int, radius: int) -> set[int]:
-    """All vertices at distance <= radius from ``center``."""
+def ball(
+    graph, center: int, radius: int, avoid: frozenset[int] | set[int] = frozenset()
+) -> set[int]:
+    """All vertices at distance <= radius from ``center``, by paths that
+    enter no vertex of ``avoid`` (the center is kept regardless)."""
     seen = {center}
     frontier = [center]
     for _ in range(radius):
         nxt: list[int] = []
         for v in frontier:
             for u in graph.neighbors(v):
-                if u not in seen:
+                if u not in seen and u not in avoid:
                     seen.add(u)
                     nxt.append(u)
         frontier = nxt
@@ -146,6 +150,25 @@ def shortest_path(
                 nxt.append(u)
         frontier = nxt
     return None
+
+
+def reachable(
+    graph, a: int, b: int, avoid: frozenset[int] | set[int], cap: int
+) -> bool:
+    """Whether ``shortest_path(graph, a, b, avoid=avoid, cap=cap)`` finds a path.
+
+    Meets in the middle (Pohl, "Bi-directional search", 1971): grows
+    ⌈cap/2⌉ layers from ``a`` and ⌊cap/2⌋ from ``b``, neither entering
+    ``avoid``, and tests whether the two balls meet.  Requires symmetric
+    adjacency, as in Cayley graphs and patches.  Where no path exists this
+    explores two balls of half the radius instead of one of the full radius.
+    """
+    if a == b:
+        return True
+    if b in avoid:
+        return False
+    near_b = ball(graph, b, cap // 2, avoid)
+    return not ball(graph, a, cap - cap // 2, avoid).isdisjoint(near_b)
 
 
 def components_of(graph, vertices: Iterable[int]) -> tuple[tuple[int, ...], ...]:

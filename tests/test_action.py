@@ -326,8 +326,9 @@ def test_bs12_engine_runs_transitively():
 
 
 def test_bs12_fuel_bounds_numbering_levels():
-    # stage 51 enters numbering level 13; under this budget the level's
-    # candidates are refused before any is built, so the error comes fast
+    # stage 51 enters numbering level 10; this budget runs out at stage 73,
+    # where level 12's candidates are refused before any is built, so the
+    # error comes fast
     eng = engine_for("BS12", Fuel(75_000))
     start = time.perf_counter()
     with pytest.raises(FuelExhausted):
@@ -344,4 +345,4 @@ def test_bs12_fuel_bounds_numbering_levels():
 def test_bs12_stage_72_numbering_size():
     eng = engine_for("BS12", Fuel(50_000_000))
     eng.build_stage(72)
-    assert eng.numbering.known_count() == 23_647
+    assert eng.numbering.known_count() == 4_317

@@ -21,7 +21,7 @@ from tlaction import (
     shortest_path,
     word_to_str,
 )
-from tlaction.graph import components_of
+from tlaction.graph import components_of, reachable
 
 from oracles import z2_ball_count
 
@@ -120,6 +120,51 @@ def test_shortest_path_is_geodesic(z2, rng):
         assert len(path) - 1 == distance(z2, u, v)
         for a, b in zip(path, path[1:]):
             assert b in z2.neighbors(a)
+
+
+# -- reachability -------------------------------------------------------------
+
+
+REACH_GRAPHS = {g: CayleyGraph(builtin_group(g)) for g in ("Z2", "Z3", "BS12")}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    group=st.sampled_from(sorted(REACH_GRAPHS)),
+    seed=st.integers(0, 10_000),
+    density=st.sampled_from([0.0, 0.2, 0.4, 0.6]),
+    cap=st.integers(0, 8),
+)
+def test_reachable_matches_shortest_path(group, seed, density, cap):
+    import random as _random
+
+    g = REACH_GRAPHS[group]
+    rng = _random.Random(seed)
+    pts = sorted(ball(g, 0, 3))
+    avoid = {v for v in pts if rng.random() < density}
+    a, b = rng.choice(pts), rng.choice(pts)
+    expected = shortest_path(g, a, b, avoid=avoid, cap=cap) is not None
+    assert reachable(g, a, b, avoid, cap) == expected
+
+
+def test_reachable_fixed_cases(z2, z2_numbering):
+    a = 0
+    nb = z2.neighbors(a)[0]
+    assert reachable(z2, a, a, frozenset(), 0)
+    assert reachable(z2, a, a, {a}, 0)
+    assert not reachable(z2, a, nb, frozenset(), 0)
+    assert reachable(z2, a, nb, frozenset(), 1)
+    assert reachable(z2, a, nb, {a}, 1)  # the start may lie in avoid
+    assert not reachable(z2, a, nb, {nb}, 8)
+    # b walled off: every neighbour of b is avoided
+    b = z2_numbering.to_index((1, 1, 1))
+    assert not reachable(z2, a, b, set(z2.neighbors(b)), 8)
+    for k in range(1, 8):
+        far = z2_numbering.to_index((1,) * k)  # a^k, at distance k
+        assert reachable(z2, a, far, frozenset(), k)
+        assert not reachable(z2, a, far, frozenset(), k - 1)
+        assert reachable(z2, far, a, frozenset(), k)
+        assert not reachable(z2, far, a, frozenset(), k - 1)
 
 
 # -- components ---------------------------------------------------------------

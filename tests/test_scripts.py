@@ -47,3 +47,4 @@ def test_build_stages_digest_is_the_golden():
     out = run_script(["build_stages.py", "--group", "Z2", "--stages", str(LAST_STAGE["Z2"]), "--digest"])
     assert f"sha256 {STAGE_DIGESTS['Z2']}\n" in out
     assert "fuel consumed: " in out
+    assert "numbering words: " in out
