@@ -38,6 +38,7 @@ from .extenders import (
 from .graph import CayleyGraph, ball, distance
 from .groups import (
     GroupOracle,
+    Word,
     builtin_group,
     canonical_numbering,
     concat_words,
@@ -99,6 +100,7 @@ class ActionEngine:
             self.dec = None
             self.instance = instance
             self._c = instance.generator_word
+            self._arrow: tuple[Word, Word] | None = None
             # The orbit key's candidates p·c^j (see orbit_key).  Over trivial
             # associated subgroups an element's length is the sum of its
             # syllables' lengths, so in an HNN extension p·t^j is longer than
@@ -227,6 +229,26 @@ class ActionEngine:
             if f.lo <= target <= f.hi:
                 return f.at(target)
             self.build_stage(len(self._bounds))
+
+    def arrow_offsets(self, g: int) -> tuple[Word, Word]:
+        """The canonical words (l, r) with g ∗ -1 = g·l and g ∗ 1 = g·r.
+
+        In subgroup mode g ∗ ±1 = g·c^±1, so every vertex has the same
+        offsets, the canonical words of c⁻¹ and c, computed once.
+        Transitive mode reads them off g's two path neighbours.
+        """
+        num = self.numbering
+        if self.mode == "subgroup":
+            if self._arrow is None:
+                l, r = (num.to_word(num.to_index(power_word(self._c, n))) for n in (-1, 1))
+                self._arrow = (l, r)
+            return self._arrow
+        inv_g = inverse_word(num.to_word(g))
+        l, r = (
+            num.to_word(num.to_index(concat_words(inv_g, num.to_word(self.act(g, n)))))
+            for n in (-1, 1)
+        )
+        return l, r
 
     def same_orbit(self, u: int, v: int) -> bool:
         """Whether u and v lie in one orbit of the action."""

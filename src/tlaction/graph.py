@@ -27,10 +27,14 @@ from .groups import GroupOracle, Numbering, canonical_numbering
 class CayleyGraph:
     """Cayley graph of a group oracle on its canonical numbering.
 
-    Neighbours of index ``v`` are the indices of ``word(v) * s`` over all
-    generator letters ``s`` (inverses included), excluding ``v`` itself.
-    Neighbour sets are cached; the graph is vertex-transitive and has
-    degree at most twice the generator count everywhere.
+    Each vertex ``v`` has a labelled row: the indices of ``word(v) * s``
+    for every generator letter ``s`` (inverses included), in
+    ``oracle.letters`` order.  :meth:`step` reads one entry, so right
+    multiplication by a letter is a table read; :meth:`neighbors` is the
+    row's distinct entries other than ``v``, sorted.  One cache miss fills
+    both from ``len(letters)`` numbering calls.  The graph is
+    vertex-transitive and has degree at most twice the generator count
+    everywhere.
     """
 
     def __init__(
@@ -42,6 +46,9 @@ class CayleyGraph:
         self.oracle = oracle
         self.numbering = numbering if numbering is not None else canonical_numbering(oracle, fuel)
         self.fuel = fuel
+        self._letters = oracle.letters
+        self._slot = {lt: i for i, lt in enumerate(self._letters)}
+        self._rows: dict[int, tuple[int, ...]] = {}
         self._cache: dict[int, tuple[int, ...]] = {}
 
     def neighbors(self, v: int) -> tuple[int, ...]:
@@ -50,15 +57,21 @@ class CayleyGraph:
         cached = self._cache.get(v)
         if cached is not None:
             return cached
+        to_index = self.numbering.to_index
         word = self.numbering.to_word(v)
-        seen: set[int] = set()
-        for lt in self.oracle.letters:
-            idx = self.numbering.to_index(word + (lt,))
-            if idx != v:
-                seen.add(idx)
-        result = tuple(sorted(seen))
-        self._cache[v] = result
+        self._rows[v] = row = tuple([to_index(word + (lt,)) for lt in self._letters])
+        seen = set(row)
+        seen.discard(v)
+        self._cache[v] = result = tuple(sorted(seen))
         return result
+
+    def step(self, v: int, s: int) -> int:
+        """The index of ``word(v) * s`` for one generator letter ``s``."""
+        row = self._rows.get(v)
+        if row is None:
+            self.neighbors(v)
+            row = self._rows[v]
+        return row[self._slot[s]]
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,12 @@ arrows for negative ``m``.  This module provides:
   sequence onto every orbit of an action engine;
 - the period-3 example subshift used throughout the test corpus.
 
+Walks stay on vertex indices: an arrow is followed one offset letter at
+a time through :meth:`CayleyGraph.step`, a read of the graph's labelled
+neighbour row, whose numbering calls are paid once per vertex.  The
+arrows of :func:`action_patch` come from the engine, which in subgroup
+mode gives every vertex the same pair.
+
 Negative answers of :func:`yxj_forbidden` are only ever tentative (the
 rule set is enumerated up to a budget), which the function makes explicit
 by returning the string ``"false-so-far"`` instead of ``False``.
@@ -25,12 +31,11 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .errors import ConfigError, InvariantError
-from .graph import CayleyGraph, ball, distance
+from .graph import CayleyGraph, distance
 from .groups import (
-    EPSILON,
     GroupOracle,
     Numbering,
     Word,
@@ -159,8 +164,9 @@ def coding_to_pattern(
 
 def _step(graph: CayleyGraph, patch: PatternPatch, v: int, sign: int) -> int:
     arrow = _arrow_of(patch.values[v])
-    offset = arrow.r if sign > 0 else arrow.l
-    return graph.numbering.to_index(concat_words(graph.numbering.to_word(v), offset))
+    for s in arrow.r if sign > 0 else arrow.l:
+        v = graph.step(v, s)
+    return v
 
 
 def star_walk(graph: CayleyGraph, patch: PatternPatch, g: int, m: int) -> int | None:
@@ -170,6 +176,10 @@ def star_walk(graph: CayleyGraph, patch: PatternPatch, g: int, m: int) -> int | 
     ``m = 0`` returns ``g``.  The walk is undefined (``None``) as soon as
     it must read an arrow at a vertex outside the patch; the final vertex
     itself may land outside the domain.
+
+    Each arrow is walked one offset letter at a time through
+    :meth:`CayleyGraph.step`, a table read once the vertex's row is known;
+    the vertices passed on the way may lie outside the patch.
     """
     cur = g
     sign = 1 if m > 0 else -1
@@ -186,17 +196,23 @@ def star_walk(graph: CayleyGraph, patch: PatternPatch, g: int, m: int) -> int | 
 
 
 def _require_ball_domain(graph: CayleyGraph, patch: PatternPatch) -> None:
+    """The domain must be the ball B_r around the identity vertex for the
+    least r with |B_r| >= |domain| (or the whole finite group).  One
+    breadth-first pass adds B_r layer by layer and stops at the first
+    layer that leaves the domain."""
     want = set(patch.domain)
-    if 0 not in want:
-        raise ConfigError("patch domain is not a ball around the identity vertex")
     have = {0}
-    radius = 0
-    while len(have) < len(want):
-        radius += 1
-        grown = ball(graph, 0, radius)
-        if len(grown) == len(have):
+    frontier = [0]
+    while frontier and len(have) < len(want):
+        nxt: list[int] = []
+        for v in frontier:
+            for u in graph.neighbors(v):
+                if u not in have:
+                    have.add(u)
+                    nxt.append(u)
+        if not want.issuperset(nxt):
             break
-        have = grown
+        frontier = nxt
     if have != want:
         raise ConfigError("patch domain is not a ball around the identity vertex")
 
@@ -396,18 +412,7 @@ def action_patch(engine, region: Iterable[int], J: int = 3) -> PatternPatch:
     """The arrow-layer patch of the engine's action over a finite region;
     raises :class:`ConfigError` when an arrow leaves the radius-``J`` ball."""
     domain = tuple(sorted(set(region)))
-    num = engine.numbering
-    values: dict[int, object] = {}
-    for g in domain:
-        word_g = num.to_word(g)
-        offsets = []
-        for sign in (-1, 1):
-            target = engine.act(g, sign)
-            offset_index = num.to_index(
-                concat_words(inverse_word(word_g), num.to_word(target))
-            )
-            offsets.append(num.to_word(offset_index))
-        values[g] = ArrowLetter(l=offsets[0], r=offsets[1])
+    values = {g: ArrowLetter(*engine.arrow_offsets(g)) for g in domain}
     patch = PatternPatch(domain, values)
     # left multiplication is a graph automorphism: one check per offset
     _require_arrows_in_ball(engine.graph, patch, J)

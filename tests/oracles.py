@@ -501,6 +501,44 @@ def pairwise_orbit_keys(engine, region) -> dict:
 
 
 # ---------------------------------------------------------------------------
+# arrow walks and arrow patches by word round trips (reference for the
+# labelled neighbour rows)
+# ---------------------------------------------------------------------------
+
+
+def round_trip_step(graph, patch, v: int, sign: int) -> int:
+    """One arrow from v: the index of word(v) followed by the whole offset."""
+    value = patch.values[v]
+    arrow = value[1] if isinstance(value, tuple) else value
+    num = graph.numbering
+    return num.to_index(num.to_word(v) + (arrow.r if sign > 0 else arrow.l))
+
+
+def round_trip_star_walk(graph, patch, g: int, m: int):
+    """``g * m`` along the patch's arrows, or None once an arrow is read
+    outside the patch."""
+    cur = g
+    for _ in range(abs(m)):
+        if cur not in patch.values:
+            return None
+        cur = round_trip_step(graph, patch, cur, 1 if m > 0 else -1)
+    return cur
+
+
+def round_trip_arrows(engine, region) -> dict:
+    """g -> (l, r), the canonical words of word(g)⁻¹·word(g * ∓1), one
+    vertex at a time."""
+    num = engine.numbering
+    arrows = {}
+    for g in sorted(set(region)):
+        inv_g = tuple(-x for x in reversed(num.to_word(g)))
+        arrows[g] = tuple(
+            num.to_word(num.to_index(inv_g + num.to_word(engine.act(g, n)))) for n in (-1, 1)
+        )
+    return arrows
+
+
+# ---------------------------------------------------------------------------
 # SL(2, Z) = C4 *_{C2} C6 on 2x2 integer matrices
 # ---------------------------------------------------------------------------
 

@@ -1,6 +1,7 @@
 """Goldens: the realized stage paths, act tables, verify checks, the
-normal forms of short words in the shipped cyclic-subgroup instances, and
-the orbit positions and period-3 overlay of their radius-4 balls.
+normal forms of short words in the shipped cyclic-subgroup instances, the
+orbit positions of their radius-4 balls, and the period-3 overlay round
+trip on those balls and on Z2's radius-5 ball.
 
 Each digest is the SHA-256 of a canonical ``repr`` of values the package
 computes.  They pin that a refactor of the construction keeps every
@@ -22,15 +23,20 @@ from tlaction import (
     Fuel,
     HnnData,
     amalgam_normal_form,
+    arrow_projection,
     ball,
     engine_for,
     hnn_normal_form,
     instance_for,
     orbit_positions,
+    period3_enumerator,
     period3_segment,
+    phi_map,
     psi_map,
     report_to_json,
     run_suite,
+    xj_forbidden,
+    yxj_forbidden,
     z_subgroup_membership,
 )
 
@@ -63,18 +69,33 @@ NORMAL_FORM_DIGESTS = {
 }
 
 # subgroup mode on the ball of radius ORBIT_RADIUS: every vertex's orbit
-# position, and psi_map of the period-3 point with phase OVERLAY_SHIFT
+# position
 ORBIT_RADIUS = 4
-OVERLAY_SHIFT = 1
 ORBIT_POSITION_DIGESTS = {
     "FreeF2": "3363bc16871a1d68ada9e2b12cb22adc97e72da7bb32298d03ae3d66e72f9dbf",
     "Z2HNN": "7d368c478555ad0dc3fa31458525bdb4aab450d012a3a48eb0a31b3ab288c830",
     "Z2starZ3": "5c9f0ba82a90f920e8a53a172dacf93b2244d0df8c2584eff774582cacbd50b6",
 }
+
+# the overlay on the ball of radius OVERLAY_RADIUS[group]: psi_map of the
+# period-3 point with phase OVERLAY_SHIFT on positions -OVERLAY_REACH ..
+# OVERLAY_REACH, and the round trip: that patch, the phi_map segment read
+# back, and the xj_forbidden and yxj_forbidden verdicts (J = 3, budget 6),
+# as scripts/overlay_roundtrip.py --digest prints it
+OVERLAY_RADIUS = {"FreeF2": ORBIT_RADIUS, "Z2HNN": ORBIT_RADIUS, "Z2starZ3": ORBIT_RADIUS, "Z2": 5}
+OVERLAY_SHIFT = 1
+OVERLAY_REACH = 5000
 PSI_MAP_DIGESTS = {
     "FreeF2": "ab456a6f12d6a675deef66efcd533f57cf885cd91a0bd9b720f9dfc24e7d14f9",
     "Z2HNN": "29586132559748a58a52407cd0e9da89c01dc3dadd56219732612da59ebfcfec",
     "Z2starZ3": "d87a42965817d90d671166a42d2d2dfee5bae769dc3c0c4ad7408c1c93156717",
+    "Z2": "a493608a8a615c03d382caffd142ebf92b2648dad18cf9ed9c0950198887b679",
+}
+OVERLAY_ROUND_TRIP_DIGESTS = {
+    "FreeF2": "084d9f3b37f81d938a05d40d44d58d461a1697ada28cfaf7572a9c8a4dca5933",
+    "Z2HNN": "5eb7a04417a8ee7b3a3470a0cd3f2472df6d2a3ff8e53ec8a4e55419868a8677",
+    "Z2starZ3": "2164c9b4655d774d7ad26189bedc01c1262c2e310061f230ef3eb8afbd661954",
+    "Z2": "b9d23b654e978359b38ae2639e5542a31085f77b06efb0eac91d6a6825fe584f",
 }
 
 
@@ -159,9 +180,24 @@ def test_orbit_positions_golden(name):
     assert _digest(sorted(positions.items())) == ORBIT_POSITION_DIGESTS[name]
 
 
+def _overlay(name: str):
+    engine = engine_for(name, Fuel(10**12))
+    region = ball(engine.graph, 0, OVERLAY_RADIUS[name])
+    z = period3_segment(-OVERLAY_REACH, OVERLAY_REACH, shift=OVERLAY_SHIFT)
+    patch = psi_map(engine, z, region)
+    return engine.graph, patch, [(g, patch.values[g]) for g in patch.domain]
+
+
 @pytest.mark.parametrize("name", sorted(PSI_MAP_DIGESTS))
 def test_psi_map_golden(name):
-    engine, region = _subgroup_ball(name)
-    z = period3_segment(-2 * ORBIT_RADIUS, 2 * ORBIT_RADIUS, shift=OVERLAY_SHIFT)
-    patch = psi_map(engine, z, region)
-    assert _digest([(g, patch.values[g]) for g in patch.domain]) == PSI_MAP_DIGESTS[name]
+    _, _, rows = _overlay(name)
+    assert _digest(rows) == PSI_MAP_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(OVERLAY_ROUND_TRIP_DIGESTS))
+def test_overlay_round_trip_golden(name):
+    graph, patch, rows = _overlay(name)
+    back = phi_map(graph, patch)
+    xj = xj_forbidden(graph, 3, arrow_projection(patch))
+    yxj = yxj_forbidden(graph, 3, period3_enumerator(), patch, 6)
+    assert _digest((rows, (back.start, back.letters), xj, yxj)) == OVERLAY_ROUND_TRIP_DIGESTS[name]

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from tlaction import (
     CayleyGraph,
     FinitePatch,
+    Fuel,
     ball,
     builtin_group,
     canonical_numbering,
@@ -60,6 +61,34 @@ def test_neighbors_sorted_distinct_regular(z2):
     for v in range(30):
         ns = z2.neighbors(v)
         assert list(ns) == sorted(set(ns)) and len(ns) == 4
+
+
+BUILTINS = ("Z", "Z2", "Z3", "BS12", "FreeF2", "Z2HNN", "Z2starZ3")
+
+
+@pytest.mark.parametrize("name", BUILTINS)
+def test_step_agrees_with_the_numbering(name):
+    # ball(.., 3) fills the rows of B(2) only, so the sphere's rows are
+    # filled by step itself
+    oracle = builtin_group(name)
+    graph = CayleyGraph(oracle)
+    num = graph.numbering
+    for v in sorted(ball(graph, 0, 3)):
+        row = [graph.step(v, s) for s in oracle.letters]
+        word = num.to_word(v)
+        assert row == [num.to_index(word + (s,)) for s in oracle.letters]
+        assert graph.neighbors(v) == tuple(sorted(set(row) - {v}))
+
+
+def test_step_ticks_fuel_as_neighbors_does():
+    oracle = builtin_group("Z2")
+    by_step, by_neighbors = Fuel(10**6), Fuel(10**6)
+    stepped = CayleyGraph(oracle, fuel=by_step)
+    stepped.step(0, 1)
+    CayleyGraph(oracle, fuel=by_neighbors).neighbors(0)
+    assert by_step.consumed == by_neighbors.consumed
+    stepped.step(0, -2)  # a read of the filled row ticks nothing
+    assert by_step.consumed == by_neighbors.consumed
 
 
 # -- balls --------------------------------------------------------------------

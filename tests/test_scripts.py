@@ -9,7 +9,14 @@ from pathlib import Path
 
 import pytest
 
-from test_goldens import LAST_STAGE, STAGE_DIGESTS
+from test_goldens import (
+    LAST_STAGE,
+    OVERLAY_RADIUS,
+    OVERLAY_REACH,
+    OVERLAY_ROUND_TRIP_DIGESTS,
+    OVERLAY_SHIFT,
+    STAGE_DIGESTS,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -48,3 +55,19 @@ def test_build_stages_digest_is_the_golden():
     assert f"sha256 {STAGE_DIGESTS['Z2']}\n" in out
     assert "fuel consumed: " in out
     assert "numbering words: " in out
+
+
+@pytest.mark.parametrize("group", ["Z2", "Z2starZ3"])
+def test_overlay_roundtrip_digest_is_the_golden(group):
+    out = run_script(
+        [
+            "overlay_roundtrip.py",
+            "--group", group,
+            "--radius", str(OVERLAY_RADIUS[group]),
+            "--shift", str(OVERLAY_SHIFT),
+            "--range", str(OVERLAY_REACH),
+            "--digest",
+        ]
+    )
+    assert f"sha256 {OVERLAY_ROUND_TRIP_DIGESTS[group]}\n" in out
+    assert "fuel consumed: " in out

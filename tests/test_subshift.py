@@ -36,10 +36,13 @@ from tlaction import (
     psi_map,
     recenter,
     star_walk,
+    word_to_str,
     xj_forbidden,
     yxj_forbidden,
 )
 from tlaction import stallings
+
+from oracles import round_trip_arrows, round_trip_star_walk
 
 BUDGET = 10_000
 
@@ -165,6 +168,46 @@ def test_action_patch_rejects_arrows_outside_the_ball(group, least_j):
             assert len(action_patch(eng, region, J).domain) == len(region)
 
 
+# the overlay benchmark's smallest ball radius per group
+SMALLEST_OVERLAY_RADIUS = {"FreeF2": 1, "Z2HNN": 2, "Z2starZ3": 3, "Z2": 5}
+
+
+@pytest.mark.parametrize("name, radius", sorted(SMALLEST_OVERLAY_RADIUS.items()))
+def test_walks_and_arrows_match_word_round_trips(name, radius):
+    eng = engine_for(name, Fuel(100_000_000))
+    region = sorted(ball(eng.graph, 0, radius))
+    patch = action_patch(eng, region)
+    assert {g: (a.l, a.r) for g, a in patch.values.items()} == round_trip_arrows(eng, region)
+    for g in region:
+        for m in range(-3, 4):
+            want = round_trip_star_walk(eng.graph, patch, g, m)
+            assert star_walk(eng.graph, patch, g, m) == want
+
+
+@pytest.mark.parametrize("name", ["Z2", "FreeF2"])
+def test_walks_along_non_canonical_offsets_match_word_round_trips(name):
+    # a*a^-1*a passes g·a on its way back to g·a, and for g on the sphere
+    # g·a may lie outside the ball: the step must not need the domain
+    eng = engine_for(name, Fuel(100_000_000))
+    graph = eng.graph
+    region = ball(graph, 0, 2)
+    text = json.dumps(
+        {
+            "domain": [word_to_str(graph.numbering.to_word(v), ("a", "b")) for v in region],
+            "B": [["b^-1*a^-1*b", "a*a^-1*a"]] * len(region),
+        }
+    )
+    patch = pattern_patch_from_json(graph, text)
+    assert patch.values[0] == ArrowLetter(l=(-2, -1, 2), r=(1, -1, 1))
+    stepped_outside = False
+    for g in patch.domain:
+        for m in range(-3, 4):
+            got = star_walk(graph, patch, g, m)
+            assert got == round_trip_star_walk(graph, patch, g, m)
+        stepped_outside |= graph.step(g, 1) not in patch.values
+    assert stepped_outside
+
+
 def test_xj_requires_ball_domain(z2):
     graph = z2.graph
     a = graph.numbering.to_index((1,))
@@ -172,6 +215,15 @@ def test_xj_requires_ball_domain(z2):
         xj_forbidden(graph, 3, const_arrow_patch({a}))  # no identity vertex
     with pytest.raises(ConfigError):
         xj_forbidden(graph, 3, const_arrow_patch({0, 5}))  # not a ball
+    b2 = ball(graph, 0, 2)
+    outside = min(ball(graph, 0, 3) - b2)
+    with pytest.raises(ConfigError):
+        xj_forbidden(graph, 3, const_arrow_patch(b2 | {outside}))
+    on_sphere = min(b2 - ball(graph, 0, 1))
+    with pytest.raises(ConfigError):
+        xj_forbidden(graph, 3, const_arrow_patch(b2 - {on_sphere}))
+    for r in (0, 1, 3):
+        assert xj_forbidden(graph, 3, const_arrow_patch(ball(graph, 0, r))) is False
 
 
 def test_xj_requires_offsets_in_ball(z2):
