@@ -13,6 +13,11 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import sys
+from pathlib import Path
+
+# the package is imported from the checkout's src/
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from tlaction import Fuel, engine_for, word_to_str
 

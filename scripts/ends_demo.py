@@ -9,6 +9,11 @@ Example:
 from __future__ import annotations
 
 import argparse
+import sys
+from pathlib import Path
+
+# the package is imported from the checkout's src/
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from tlaction import CayleyGraph, EndsDecider, Fuel, builtin_group
 

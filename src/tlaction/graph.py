@@ -32,7 +32,9 @@ class CayleyGraph:
     ``oracle.letters`` order.  :meth:`step` reads one entry, so right
     multiplication by a letter is a table read; :meth:`neighbors` is the
     row's distinct entries other than ``v``, sorted.  One cache miss fills
-    both from ``len(letters)`` numbering calls.  The graph is
+    both from :meth:`~tlaction.groups.Numbering.neighbour_row`, which steps
+    ``v``'s normal key once per letter when the oracle has a ``key_step``
+    (and no ``fast_index``) and builds no word.  The graph is
     vertex-transitive and has degree at most twice the generator count
     everywhere.
     """
@@ -46,8 +48,7 @@ class CayleyGraph:
         self.oracle = oracle
         self.numbering = numbering if numbering is not None else canonical_numbering(oracle, fuel)
         self.fuel = fuel
-        self._letters = oracle.letters
-        self._slot = {lt: i for i, lt in enumerate(self._letters)}
+        self._slot = {lt: i for i, lt in enumerate(oracle.letters)}
         self._rows: dict[int, tuple[int, ...]] = {}
         self._cache: dict[int, tuple[int, ...]] = {}
 
@@ -57,9 +58,7 @@ class CayleyGraph:
         cached = self._cache.get(v)
         if cached is not None:
             return cached
-        to_index = self.numbering.to_index
-        word = self.numbering.to_word(v)
-        self._rows[v] = row = tuple([to_index(word + (lt,)) for lt in self._letters])
+        self._rows[v] = row = self.numbering.neighbour_row(v)
         seen = set(row)
         seen.discard(v)
         self._cache[v] = result = tuple(sorted(seen))

@@ -16,7 +16,8 @@ the alphabet order ``s1 < s1^-1 < s2 < s2^-1 < ...``.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
+from functools import reduce
 from itertools import islice
 from typing import Callable, Hashable, Iterable
 
@@ -120,8 +121,11 @@ class GroupOracle:
     ``wp(word)`` decides whether a word represents the identity; it is the
     semantic authority.  ``normal_key``, when present, maps a word to a
     hashable canonical form of the element it spells (used to make element
-    deduplication fast; ``wp`` remains the contract).  Instances are
-    immutable and safe to share between threads.
+    deduplication fast; ``wp`` remains the contract).  ``key_step``, when
+    present, maps the key of a word and a letter to the key of the word
+    followed by that letter; construction checks it against ``normal_key``
+    on every word of length at most 2.  Instances are immutable and safe
+    to share between threads.
     """
 
     name: str
@@ -138,6 +142,23 @@ class GroupOracle:
     # of the whole ball).
     fast_index: Callable[[Word], int] | None = None
     fast_word: Callable[[int], Word] | None = None
+    key_step: Callable[[Hashable, int], Hashable] | None = None
+
+    def __post_init__(self) -> None:
+        step, key = self.key_step, self.normal_key
+        if step is None:
+            return
+        if key is None:
+            raise ConfigError(f"group {self.name!r} has a key_step but no normal_key")
+        letters = self.letters
+        for word in (EPSILON, *((lt,) for lt in letters)):
+            start = key(word)
+            for lt in letters:
+                if step(start, lt) != key(word + (lt,)):
+                    raise ConfigError(
+                        f"group {self.name!r}: key_step disagrees with normal_key "
+                        f"on the word {word + (lt,)!r}"
+                    )
 
     @property
     def generator_count(self) -> int:
@@ -165,6 +186,7 @@ class GroupOracle:
 
 
 def _zd_key(d: int) -> Callable[[Word], Hashable]:
+    # counts letters in place: the fold of _zd_step, without a tuple per letter
     def key(word: Word) -> tuple[int, ...]:
         coords = [0] * d
         for lt in word:
@@ -172,6 +194,13 @@ def _zd_key(d: int) -> Callable[[Word], Hashable]:
         return tuple(coords)
 
     return key
+
+
+def _zd_step(key: tuple[int, ...], lt: int) -> tuple[int, ...]:
+    """Coordinates in Z^d step by +-e_i for the letter of generator i."""
+    coords = list(key)
+    coords[abs(lt) - 1] += 1 if lt > 0 else -1
+    return tuple(coords)
 
 
 def _free_key(word: Word) -> tuple[int, ...]:
@@ -233,35 +262,34 @@ def _z2_z_key(word: Word) -> tuple:
     return tuple(stack)
 
 
-def _bs12_key(word: Word) -> tuple[int, int, int]:
-    """Exponent tracking in BS(1,2) = <a, t | t a t^-1 = a^2>.
+def _bs12_step(key: tuple[int, int, int], lt: int) -> tuple[int, int, int]:
+    """Exponent tracking in BS(1,2) = <a, t | t a t^-1 = a^2>, one letter.
 
     Elements are pairs (x, n) with x a dyadic rational and n an integer:
     a = (1, 0), t = (0, 1) and (x, n)(y, m) = (x + 2^n y, n + m).  The key
     is (p, s, n) with x = p / 2^s in lowest terms (p odd or s = 0), so two
     words get equal keys exactly when they spell the same element.
     """
-    p = s = n = 0
-    for lt in word:
-        if lt == 1 or lt == -1:
-            # x + lt*2^n = (p + lt*2^(n+s)) / 2^s
-            shift = n + s
-            if shift > 0:
-                p += lt << shift  # adds an even number: p stays odd if s > 0
-            elif shift < 0:
-                p = (p << -shift) + lt  # rewritten over 2^-n, now odd
-                s = -n
-            else:
-                p += lt
-                if p == 0:
-                    s = 0
-                elif s:
-                    tz = min((p & -p).bit_length() - 1, s)
-                    p >>= tz
-                    s -= tz
-        else:
-            n += 1 if lt > 0 else -1
+    p, s, n = key
+    if lt != 1 and lt != -1:
+        return (p, s, n + (1 if lt > 0 else -1))
+    # x + lt*2^n = (p + lt*2^(n+s)) / 2^s
+    shift = n + s
+    if shift > 0:
+        return (p + (lt << shift), s, n)  # adds an even number: p stays odd if s > 0
+    if shift < 0:
+        return ((p << -shift) + lt, -n, n)  # rewritten over 2^-n, now odd
+    p += lt
+    if p == 0:
+        return (0, 0, n)
+    if s:
+        tz = min((p & -p).bit_length() - 1, s)
+        return (p >> tz, s - tz, n)
     return (p, s, n)
+
+
+def _bs12_key(word: Word) -> tuple[int, int, int]:
+    return reduce(_bs12_step, word, (0, 0, 0))
 
 
 class _PairLanguageIndex:
@@ -441,6 +469,7 @@ def _zd_oracle(d: int, names: tuple[str, ...] | None = None) -> GroupOracle:
         normal_key=key,
         fast_index=_z_index if d == 1 else None,
         fast_word=_z_word if d == 1 else None,
+        key_step=_zd_step,
     )
 
 
@@ -490,6 +519,7 @@ def _bs12_oracle() -> GroupOracle:
         wp=_wp_from_key(_bs12_key),
         declared_ends=1,
         normal_key=_bs12_key,
+        key_step=_bs12_step,
     )
 
 
@@ -588,15 +618,12 @@ def group_from_config(config: dict | str) -> GroupOracle:
         )
     if ends == 2 and cert is None:
         raise ConfigError("a group declared two-ended needs a certificate")
-    return GroupOracle(
+    return replace(
+        base,
         name=str(config.get("name", base.name)),
         generator_names=tuple(names),
-        wp=base.wp,
         declared_ends=ends,
         ends_certificate=cert,
-        normal_key=base.normal_key,
-        fast_index=base.fast_index,
-        fast_word=base.fast_word,
     )
 
 
@@ -614,9 +641,12 @@ class Numbering:
     (level = word length), exploiting that shortlex-least representatives
     are closed under prefixes.
 
-    With a ``normal_key`` on the oracle, deduplication is a hash lookup;
-    otherwise each candidate runs a bounded search over the already
-    enumerated canonical words of compatible length using ``wp`` alone.
+    With a ``normal_key`` on the oracle, deduplication is a hash lookup and
+    each enumerated word's key is kept next to it; with a ``key_step`` as
+    well, a candidate's key is its parent's key stepped by one letter, and
+    its word is built only when the key is new.  Otherwise each candidate
+    runs a bounded search over the already enumerated canonical words of
+    compatible length using ``wp`` alone.
 
     With ``fuel``, each level ticks its candidate count before it is built,
     and on the ``wp``-only path every enumerated word a search compares
@@ -626,36 +656,41 @@ class Numbering:
     def __init__(self, oracle: GroupOracle, fuel: Fuel | None = None):
         self.oracle = oracle
         self.fuel = fuel
+        self._letters = oracle.letters
         self._words: list[Word] = [EPSILON]
         self._level_start = [0, 1]  # _words[_level_start[L]: _level_start[L+1]] has length L
         if oracle.normal_key is not None:
-            self._by_key: dict[Hashable, int] | None = {oracle.normal_key(EPSILON): 0}
+            identity = oracle.normal_key(EPSILON)
+            self._keys: list[Hashable] | None = [identity]  # the key of each of _words
+            self._by_key: dict[Hashable, int] | None = {identity: 0}
         else:
-            self._by_key = None
+            self._keys = self._by_key = None
 
     # -- enumeration machinery
 
     def _advance_level(self) -> None:
         """Generate all canonical words of the next length."""
-        oracle = self.oracle
-        letters = oracle.letters
+        oracle, letters = self.oracle, self._letters
         lo, hi = self._level_start[-2], self._level_start[-1]
-        parents = self._words[lo:hi]
         if self.fuel is not None:
-            self.fuel.tick(len(parents) * len(letters))
+            self.fuel.tick((hi - lo) * len(letters))
+        words, keys, by_key = self._words, self._keys, self._by_key
+        step, normal_key = oracle.key_step, oracle.normal_key
         level: list[Word] = []
-        for parent in parents:
+        for i in range(lo, hi):
+            parent = words[i]
             for lt in letters:
-                cand = parent + (lt,)
-                if self._by_key is not None:
-                    key = oracle.normal_key(cand)  # type: ignore[misc]
-                    if key not in self._by_key:
-                        self._by_key[key] = hi + len(level)
-                        level.append(cand)
-                elif not self._wp_seen(cand, level):
-                    level.append(cand)
-        self._words.extend(level)
-        self._level_start.append(len(self._words))
+                if by_key is None:
+                    if not self._wp_seen(parent + (lt,), level):
+                        level.append(parent + (lt,))
+                    continue
+                key = step(keys[i], lt) if step is not None else normal_key(parent + (lt,))
+                if key not in by_key:
+                    by_key[key] = hi + len(level)
+                    keys.append(key)
+                    level.append(parent + (lt,))
+        words.extend(level)
+        self._level_start.append(len(words))
 
     def _wp_seen(self, cand: Word, level: list[Word]) -> bool:
         """wp-only deduplication: is cand's element already enumerated?
@@ -729,6 +764,30 @@ class Numbering:
                 "own shortlex ball"
             )
         return idx
+
+    def neighbour_row(self, n: int) -> tuple[int, ...]:
+        """The indices of ``to_word(n) * s`` for every letter s, in
+        ``oracle.letters`` order.
+
+        With a ``key_step`` and no ``fast_index`` this steps n's key once
+        per letter and builds no word; the numbering grows exactly as
+        ``to_word(n)`` and then ``to_index`` on words one letter longer
+        would grow it.
+        """
+        oracle = self.oracle
+        if oracle.key_step is None or oracle.fast_index is not None:
+            word = self.to_word(n)
+            return tuple([self.to_index(word + (lt,)) for lt in self._letters])
+        self._grown_to_index(n)
+        self._grown_to_length(len(self._words[n]) + 1)
+        key, step, by_key = self._keys[n], oracle.key_step, self._by_key
+        row = tuple([by_key.get(step(key, lt)) for lt in self._letters])
+        if None in row:
+            raise ConfigError(
+                "word problem oracle is inconsistent: element missing "
+                "from its own shortlex ball"
+            )
+        return row
 
     def known_count(self) -> int:
         """How many canonical words have been enumerated so far."""

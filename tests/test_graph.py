@@ -16,6 +16,7 @@ from tlaction import (
     builtin_group,
     canonical_numbering,
     distance,
+    engine_for,
     induced_patch,
     patch_to_dot,
     patch_to_json,
@@ -89,6 +90,25 @@ def test_step_ticks_fuel_as_neighbors_does():
     assert by_step.consumed == by_neighbors.consumed
     stepped.step(0, -2)  # a read of the filled row ticks nothing
     assert by_step.consumed == by_neighbors.consumed
+
+
+# (fuel, numbering words) after building every stage up to the last one:
+# rows from key steps enter each numbering level when rows from words did
+GROWTH_PINS = {
+    ("Z", 400): (11_625, 1),
+    ("Z2", 400): (31_226, 1_201),
+    ("Z3", 300): (45_095, 2_625),
+    ("BS12", 72): (48_047, 4_317),
+}
+
+
+@pytest.mark.parametrize("name, last", sorted(GROWTH_PINS), ids=str)
+def test_stage_growth_fuel_and_numbering_size_pinned(name, last):
+    engine = engine_for(name, Fuel(10**9))
+    for i in range(last + 1):
+        engine.build_stage(i)
+    got = (engine.fuel.consumed, engine.numbering.known_count())
+    assert got == GROWTH_PINS[name, last]
 
 
 # -- balls --------------------------------------------------------------------

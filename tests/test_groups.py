@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import random
 from fractions import Fraction
+from functools import reduce
 from itertools import product
 
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tlaction import (
+    CayleyGraph,
     ConfigError,
     EndsCertificate,
     Fuel,
@@ -183,10 +185,11 @@ def test_numbering_round_trip_500():
 def test_numbering_equivalence_across_generator_orders():
     # Z2 with generators in the opposite order: converting indices through
     # the two numberings and back is the identity on the first 200 indices.
+    # The swapped oracle steps keys on the swapped alphabet.
     base = builtin_group("Z2")
+    table = {1: 2, -1: -2, 2: 1, -2: -1}
 
     def swap(word):
-        table = {1: 2, -1: -2, 2: 1, -2: -1}
         return tuple(table[lt] for lt in word)
 
     swapped = dataclasses.replace(
@@ -197,6 +200,7 @@ def test_numbering_equivalence_across_generator_orders():
         normal_key=lambda w: base.normal_key(swap(w)),
         fast_index=None,
         fast_word=None,
+        key_step=lambda k, lt: base.key_step(k, table[lt]),
     )
     n1 = canonical_numbering(base)
     n2 = canonical_numbering(swapped)
@@ -204,6 +208,56 @@ def test_numbering_equivalence_across_generator_orders():
         via = n2.to_index(swap(n1.to_word(n)))
         back = n1.to_index(swap(n2.to_word(via)))
         assert back == n
+
+
+def test_key_step_must_agree_with_normal_key():
+    base = builtin_group("Z2")
+    # a replaced normal_key cannot keep the old step
+    with pytest.raises(ConfigError, match="key_step disagrees"):
+        dataclasses.replace(base, normal_key=lambda w: base.normal_key(inverse_word(w)))
+
+    # a step wrong only on words of length 2
+    def late_step(k, lt):
+        return k if (k, lt) == ((1, 0), 2) else base.key_step(k, lt)
+
+    with pytest.raises(ConfigError, match=r"\(1, 2\)"):
+        dataclasses.replace(base, key_step=late_step)
+    with pytest.raises(ConfigError, match="no normal_key"):
+        dataclasses.replace(base, normal_key=None)
+    assert dataclasses.replace(base, normal_key=None, key_step=None).key_step is None
+
+
+def _reference_key(name, word):
+    """The element a word spells, computed without the oracle."""
+    if name == "BS12":
+        return bs12_element(word)
+    d = 4 if name == "Zd(4)" else int(name[1:] or 1)
+    return tuple(word.count(i + 1) - word.count(-(i + 1)) for i in range(d))
+
+
+@settings(max_examples=300)
+@given(st.sampled_from(("Z", "Z2", "Z3", "Zd(4)", "BS12")), st.data())
+def test_folded_key_step_is_the_normal_key(name, data):
+    oracle = builtin_group(name)
+    word = tuple(data.draw(st.lists(st.sampled_from(oracle.letters), max_size=20)))
+    key = reduce(oracle.key_step, word, oracle.normal_key(EPSILON))
+    assert key == oracle.normal_key(word)
+    value = _bs12_key_value(key) if name == "BS12" else key
+    assert value == _reference_key(name, word)
+
+
+@pytest.mark.parametrize("name", ["Z2", "Z3", "BS12"])
+def test_stepped_enumeration_is_the_word_keyed_one(name):
+    oracle = builtin_group(name)
+    stepped_fuel, keyed_fuel = Fuel(10**9), Fuel(10**9)
+    stepped = Numbering(oracle, stepped_fuel)
+    keyed = Numbering(dataclasses.replace(oracle, key_step=None), keyed_fuel)
+    assert [stepped.to_word(n) for n in range(2000)] == [keyed.to_word(n) for n in range(2000)]
+    assert [stepped.neighbour_row(v) for v in range(500)] == [
+        keyed.neighbour_row(v) for v in range(500)
+    ]
+    assert stepped.known_count() == keyed.known_count()
+    assert stepped_fuel.consumed == keyed_fuel.consumed
 
 
 def test_fast_accelerators_agree_with_enumeration():
@@ -287,7 +341,7 @@ def test_z_closed_form_matches_enumeration():
 def test_metered_numbering_leaves_whole_levels():
     # wp-only path: candidates and the words each search scans tick fuel
     plain = dataclasses.replace(
-        builtin_group("Z2"), normal_key=None, fast_index=None, fast_word=None
+        builtin_group("Z2"), normal_key=None, fast_index=None, fast_word=None, key_step=None
     )
     fresh = Numbering(plain)
     for budget in (10, 500, 3_000):
@@ -327,6 +381,21 @@ def test_group_from_config_dict():
     g = group_from_config({"strategy": "zd", "d": 2, "generators": ["x", "y"]})
     assert g.generator_names == ("x", "y")
     assert g.wp((1, 2, -1, -2))
+
+
+@pytest.mark.parametrize(
+    "config, name",
+    [({"strategy": "zd", "d": 3, "generators": ["x", "y", "z"]}, "Z3"), ({"strategy": "bs12"}, "BS12")],
+)
+def test_group_from_config_keeps_every_oracle_field(config, name):
+    loaded, builtin = group_from_config(config), builtin_group(name)
+    assert loaded.key_step is builtin.key_step is not None
+
+    def rows(oracle):
+        graph = CayleyGraph(oracle)
+        return [[graph.step(v, s) for s in oracle.letters] for v in range(300)]
+
+    assert rows(loaded) == rows(builtin)
 
 
 def test_group_from_config_path(tmp_path):

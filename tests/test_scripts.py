@@ -71,3 +71,19 @@ def test_overlay_roundtrip_digest_is_the_golden(group):
     )
     assert f"sha256 {OVERLAY_ROUND_TRIP_DIGESTS[group]}\n" in out
     assert "fuel consumed: " in out
+
+
+@pytest.mark.parametrize("script", ["build_stages.py", "ends_demo.py", "overlay_roundtrip.py"])
+def test_script_runs_from_a_checkout_without_pythonpath(script, tmp_path):
+    # run as the README gives it, from a directory that holds no package
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / script)],
+        capture_output=True,
+        text=True,
+        env=env,
+        cwd=tmp_path,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip()

@@ -79,7 +79,7 @@ def test_coding_inconsistent_rejected():
 
 def test_coding_without_normal_key_uses_word_problem():
     oracle = dataclasses.replace(
-        builtin_group("Z2"), normal_key=None, fast_index=None, fast_word=None
+        builtin_group("Z2"), normal_key=None, fast_index=None, fast_word=None, key_step=None
     )
     PatternCoding((((1, -1), "x"), ((), "x"))).check_consistent(oracle)
     with pytest.raises(ConfigError):
