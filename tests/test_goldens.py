@@ -26,6 +26,7 @@ from tlaction import (
     arrow_projection,
     ball,
     engine_for,
+    group_from_config,
     hnn_normal_form,
     instance_for,
     orbit_positions,
@@ -48,6 +49,21 @@ STAGE_DIGESTS = {
     "Z2": "6b2e98f8b98c41304a4b6169d1f7af9f262bff4591178888c90b847f843297c8",
     "Z3": "7f9a03a61b1703e0ce1294e402df32297b00b1bcc16b46c75bebdf7f9c354a3e",
     "BS12": "fa395f0ae2d51ffcb7565b4bcf0fcd81fa565f6f4a3ddf2f8a80db8752b2404b",
+}
+
+# Stage paths no golden above reaches, built ascending on a fresh engine:
+# Zd(4) leans most on the split extension, BS12 to 72 passes stage 51 (its
+# only search at radius 8), and Z with a three-vertex separator seeds from
+# (0, 1, 2), where the built-in Z seeds from (0,).
+Z_SEPARATOR_CONFIG = {
+    "strategy": "z",
+    "declared_ends": 2,
+    "certificate": {"separator": ["a^-1", "e", "a"], "side_a": ["a*a"], "side_b": ["a^-1*a^-1"]},
+}
+MORE_STAGE_DIGESTS = {
+    "Zd(4)": (150, "0d22cd8c5dbb9f9c2e7f474b2d35c8915c73ac078c4e7c3bdc1f8bb54b153ab8"),
+    "BS12": (72, "47c5caf610d019075aa6fb2f12bf45c21a0a3bdfd3c06b32573066efa73a0738"),
+    "Z-separator": (100, "a5101f931d0e3645ffe951b1e28382b8162c0313db100465e4724236e502f35b"),
 }
 
 ACT_DIGESTS = {
@@ -142,6 +158,13 @@ def verify_checks_json() -> str:
 def test_stage_paths_golden(grown, group, order):
     engine = grown(group) if order == "grown" else engine_for(group, Fuel(10**12))
     assert _digest(stage_list(engine, LAST_STAGE[group])) == STAGE_DIGESTS[group]
+
+
+@pytest.mark.parametrize("name", sorted(MORE_STAGE_DIGESTS))
+def test_more_stage_paths_golden(name):
+    group = group_from_config(Z_SEPARATOR_CONFIG) if name == "Z-separator" else name
+    last, digest = MORE_STAGE_DIGESTS[name]
+    assert _digest(stage_list(engine_for(group, Fuel(10**12)), last)) == digest
 
 
 @pytest.mark.parametrize("group", sorted(LAST_STAGE))
