@@ -29,13 +29,8 @@ import itertools
 
 from .decidability import EndsDecider
 from .errors import ConfigError, Fuel, InvariantError
-from .extenders import (
-    ExtensibleState,
-    extend_to_visit,
-    make_bi_extensible,
-    state_from_path,
-)
-from .graph import CayleyGraph, ball, distance
+from .extenders import ExtensibleState, extend_to_visit, make_bi_extensible
+from .graph import CayleyGraph
 from .groups import (
     GroupOracle,
     Word,
@@ -61,9 +56,9 @@ class ActionEngine:
     i.  ``visited_index`` maps each visited vertex to its authoritative
     path position and is the realization of f⁻¹.  It is filled from the
     seed stage whole and from each later stage's two new segments only:
-    every later stage comes through the extension validator, which checks
-    that it restricts to the previous stage exactly, so old positions keep
-    their vertices."""
+    the extension validator builds every later stage by gluing two walks
+    onto the previous stage's path, so old positions keep their
+    vertices."""
 
     def __init__(
         self,
@@ -119,55 +114,9 @@ class ActionEngine:
 
     # -- transitive-mode stage construction --------------------------------
 
-    def _seed_one_ended(self) -> ExtensibleState:
-        return make_bi_extensible(self.graph, self.dec, 0)
-
-    def _seed_two_ended(self) -> ExtensibleState:
-        """Brute-force search for the least bi-extensible path containing
-        the identity vertex and the certificate separator.
-
-        Candidates are injective jump-≤3 sequences enumerated by length,
-        then lexicographically by vertex index; the first one whose
-        complement the decider certifies (exactly two infinite sides) and
-        which has a canonical witness pair wins.
-        """
-        required = frozenset({0}) | self.dec.separator
-        for length in itertools.count(1):
-            self.fuel.tick()
-            pool = sorted(ball(self.graph, 0, 3 * (length - 1)))
-            if not required <= set(pool):
-                continue
-            found = self._seed_dfs([], length, pool, required)
-            if found is not None:
-                return found
-
-    def _seed_dfs(
-        self, seq: list[int], length: int, pool: list[int], required: frozenset[int]
-    ) -> ExtensibleState | None:
-        if len(seq) == length:
-            path = ThreePath(start=0, vertices=tuple(seq))
-            return state_from_path(self.graph, self.dec, path)
-        missing = len(required.difference(seq))
-        slots = length - len(seq)
-        for x in pool:
-            if x in seq:
-                continue
-            if seq and distance(self.graph, seq[-1], x, cap=3) is None:
-                continue
-            still_missing = missing - (1 if x in required else 0)
-            if still_missing > slots - 1:
-                continue
-            self.fuel.tick()
-            seq.append(x)
-            found = self._seed_dfs(seq, length, pool, required)
-            if found is not None:
-                return found
-            seq.pop()
-        return None
-
     def _record(self, path: ThreePath) -> None:
         # Old positions are not re-walked: extend_to_visit only returns a
-        # stage that restricts to the previous one exactly.
+        # stage whose middle is the previous stage's path.
         lo, hi = self._bounds[-1] if self._bounds else (path.lo, path.lo - 1)
         new = itertools.chain(range(path.lo, lo), range(hi + 1, path.hi + 1))
         for pos in new:
@@ -182,13 +131,11 @@ class ActionEngine:
         """Compute stage i; stage i visits vertices 0..i."""
         if self.mode != "transitive":
             raise ConfigError("stages exist only in transitive mode")
+        if i < 0:
+            raise ConfigError("stage indices are nonnegative")
         while len(self._bounds) <= i:
             if self._state is None:
-                st = (
-                    self._seed_one_ended()
-                    if self.dec.mode == "one"
-                    else self._seed_two_ended()
-                )
+                st = make_bi_extensible(self.graph, self.dec, 0)
             else:
                 st = extend_to_visit(self.graph, self.dec, self._state, len(self._bounds))
             self._record(st.path)
@@ -239,6 +186,8 @@ class ActionEngine:
         """
         num = self.numbering
         if self.mode == "subgroup":
+            if g < 0:
+                raise ValueError(f"index must be a natural number, got {g}")
             if self._arrow is None:
                 l, r = (num.to_word(num.to_index(power_word(self._c, n))) for n in (-1, 1))
                 self._arrow = (l, r)

@@ -4,29 +4,31 @@ A path is *bi-extensible* when its complement has no finite component and
 unvisited witnesses sit within distance 3 of both endpoints; such a path
 can always be extended on both sides while staying bi-extensible, and can
 be steered to visit any chosen target vertex.  This module builds the
-initial state (:func:`make_bi_extensible`), bundles a given path into a
+seed state (:func:`make_bi_extensible`), bundles a given path into a
 state when it qualifies (:func:`state_from_path`), and performs the
 steered extension step (:func:`extend_to_visit`).
 
-The extension step works by carving a finite region out of the path's
-complement, walking it Hamiltonianly with small jumps, and splicing the
-walk onto the path's two ends.  Every candidate produced this way is put
-through a validator that re-checks all contract conditions (extension,
-two-sided strict growth, target visited, jump bound, complement
-certificate, fresh witness pair); the carving is only an accelerator, and
-a deterministic exhaustive search over candidate extensions serves as the
-complete fallback.  All searches are fuel-metered.
+An extension glues two finite walks onto the path, one before its first
+vertex and one after its last, and leaves the old path as it is.  Each
+strategy lazily yields such (left, right) walk pairs: the fast ones carve
+a finite region out of the path's complement and walk it Hamiltonianly
+with small jumps, and a deterministic exhaustive search over walk pairs
+is the complete fallback.  One validator checks every candidate against
+the contract (fresh distinct vertices on both sides, target visited, jump
+bound, complement certificate, witness pair) and builds the new stage
+only from a candidate that passes.  All searches are fuel-metered.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 from .decidability import NOTHING, Certified, EndsDecider, witness_pair
 from .errors import InvariantError
-from .graph import distance, induced_patch, reachable, shortest_path
-from .paths import ThreePath, check_jumps, extend_path, karaganis_path
+from .graph import ball, distance, induced_patch, reachable, shortest_path
+from .paths import ThreePath, karaganis_path
 
 
 @dataclass(frozen=True)
@@ -139,11 +141,27 @@ def state_from_path(
 def make_bi_extensible(graph, dec: EndsDecider, w: int) -> ExtensibleState:
     """A bi-extensible 3-path visiting ``w``.
 
-    Construction: start from ``w`` and its least neighbour, absorb finite
-    complement components, walk the region from its least boundary vertex
-    to that vertex's least region-neighbour, and take the canonical
-    witness pair of the result.
+    One-ended construction: start from ``w`` and its least neighbour,
+    absorb finite complement components, walk the region from its least
+    boundary vertex to that vertex's least region-neighbour, and take the
+    canonical witness pair of the result.
+
+    Two-ended construction: the least bi-extensible path containing ``w``
+    and the decider's separator.  Candidates are injective jump-≤3
+    sequences enumerated by length, then lexicographically by vertex index;
+    the first one whose complement the decider certifies (exactly two
+    infinite sides) and which has a canonical witness pair wins.
     """
+    if dec.mode == "two":
+        required = frozenset({w}) | dec.separator
+        for length in itertools.count(1):
+            dec.fuel.tick()
+            pool = sorted(ball(graph, w, 3 * (length - 1)))
+            if not required <= set(pool):
+                continue
+            found = _seed_dfs(graph, dec, [], length, pool, required)
+            if found is not None:
+                return found
     nbrs = graph.neighbors(w)
     if not nbrs:
         raise InvariantError(f"vertex {w} is isolated")
@@ -169,82 +187,104 @@ def make_bi_extensible(graph, dec: EndsDecider, w: int) -> ExtensibleState:
     return state
 
 
+def _seed_dfs(
+    graph, dec: EndsDecider, seq: list[int], length: int, pool: list[int], required: frozenset[int]
+) -> ExtensibleState | None:
+    if len(seq) == length:
+        return state_from_path(graph, dec, ThreePath(start=0, vertices=tuple(seq)))
+    missing = len(required.difference(seq))
+    slots = length - len(seq)
+    for x in pool:
+        if x in seq:
+            continue
+        if seq and distance(graph, seq[-1], x, cap=3) is None:
+            continue
+        still_missing = missing - (1 if x in required else 0)
+        if still_missing > slots - 1:
+            continue
+        dec.fuel.tick()
+        seq.append(x)
+        found = _seed_dfs(graph, dec, seq, length, pool, required)
+        if found is not None:
+            return found
+        seq.pop()
+    return None
+
+
 # ---------------------------------------------------------------------------
 # the steered extension step
 # ---------------------------------------------------------------------------
+
+# A candidate extension: the walk glued before the path's first vertex and
+# the walk glued after its last, both running junction-to-outward (their
+# first vertex is within jump 3 of the path's end), and the decider's
+# certificate of the grown image when the strategy already has it.
+Candidate = tuple[tuple[int, ...], tuple[int, ...], Certified | None]
 
 
 def _validate_candidate(
     graph,
     dec: EndsDecider,
     st: ExtensibleState,
-    new: ThreePath,
+    left: tuple[int, ...],
+    right: tuple[int, ...],
     w: int,
-    added: set[int],
     certified: Certified | None,
 ) -> ExtensibleState | None:
     """The extension contract.  Returns the new state, or None if any
-    condition fails: new extends old exactly, domain grew strictly on both
-    sides, w is visited, all new jumps are within 3, the complement carries
-    the no-finite-component certificate, and a canonical witness pair exists.
-    ``added`` is the set of new vertices, and ``certified`` the decider's
+    condition fails: both walks are nonempty, their vertices are distinct
+    and unvisited, w is visited, all new jumps are within 3, the
+    complement carries the no-finite-component certificate, and a
+    canonical witness pair exists.  ``certified`` is the decider's
     certificate of the new image, or None to certify it here.
+
+    The old path stays the middle of the new one by construction, so
+    nothing old is compared, and the structural checks tick no fuel.
     """
     old = st.path
-    lo_off = old.lo - new.lo
-    if new.vertices[lo_off : lo_off + len(old.vertices)] != old.vertices:
+    image = st.certified.image
+    added = {*left, *right}
+    if not (left and right) or len(added) != len(left) + len(right):
         return None
-    if not (new.lo < old.lo and new.hi > old.hi):
+    if not added.isdisjoint(image):
         return None
-    if w not in st.certified.image and w not in added:
+    if w not in image and w not in added:
         return None
-    try:
-        new_positions = list(range(new.lo, old.lo)) + list(range(old.hi, new.hi))
-        check_jumps(graph, new, max_jump=3, positions=new_positions)
-    except InvariantError:
-        return None
+    for walk in ((*reversed(left), old.first), (old.last, *right)):
+        for a, b in zip(walk, walk[1:]):
+            if distance(graph, a, b, cap=3) is None:
+                return None
     if certified is None:
         certified = dec.find_finite_component(added, st.certified)
         if not isinstance(certified, Certified):
             return None
+    new = ThreePath(old.lo - len(left), (*reversed(left), *old.vertices, *right))
     return state_from_path(graph, dec, new, certified)
 
 
-def _splice(old: ThreePath, left_walk: tuple[int, ...], right_walk: tuple[int, ...]) -> ThreePath:
-    """Build the candidate path: left walk reversed, old path, right walk.
-
-    Both walks run junction-to-outward (their first vertex is within jump 3
-    of the old path's end).  Reversing the left walk puts its entry at the
-    junction with the old first vertex and its exit at the new first
-    vertex; the right walk is appended as is.
-    """
-    return extend_path(old, before=tuple(reversed(left_walk)), after=right_walk)
-
-
 def _try_split(
-    graph, dec: EndsDecider, st: ExtensibleState, w_eff: int, w: int, radius: int
-) -> ExtensibleState | None:
+    graph, dec: EndsDecider, st: ExtensibleState, w_eff: int, radius: int
+) -> Iterator[Candidate]:
     """Fast path: one region containing both witnesses and the target,
-    walked Hamiltonianly witness-to-witness, then split at a consecutive
-    close pair into the two side extensions."""
-    f = st.path
+    walked Hamiltonianly witness-to-witness, then split at each
+    consecutive close pair into the two side walks."""
     image = st.certified.image
     u, v = st.witness_start, st.witness_end
     # most splits fail here; two half-radius balls decide it more cheaply
     # than the full-radius search below
     if not reachable(graph, u, w_eff, image, radius):
-        return None
+        return
     pu = shortest_path(graph, u, w_eff, avoid=image, cap=radius)
     pv = shortest_path(graph, v, w_eff, avoid=image, cap=radius)
     if pv is None:
-        return None
+        return
     region = set(pu) | set(pv)
     certified = _absorb_into(graph, dec, [region], st.certified)
     patch = induced_patch(graph, region)
     try:
         walk = karaganis_path(patch, u, v)
     except InvariantError:
-        return None
+        return
     outside = lambda x: any(
         nb not in region and nb not in image for nb in graph.neighbors(x)
     )
@@ -254,58 +294,40 @@ def _try_split(
             continue
         if not (outside(w1) or outside(w2)):
             continue
-        left = walk[: i + 1]                     # (u, ..., w1): new first = w1
-        right = tuple(reversed(walk[i + 1 :]))   # (v, ..., w2): new last = w2
-        try:
-            cand = _splice(f, left, right)
-        except InvariantError:
-            continue
-        state = _validate_candidate(graph, dec, st, cand, w, region, certified)
-        if state is not None:
-            return state
-    return None
+        # (u, ..., w1) ends at the new first vertex, (v, ..., w2) at the new last
+        yield walk[: i + 1], tuple(reversed(walk[i + 1 :])), certified
 
 
 def _try_one_side(
-    graph,
-    dec: EndsDecider,
-    st: ExtensibleState,
-    w_eff: int,
-    w: int,
-    radius: int,
-    side: str,
-) -> ExtensibleState | None:
+    graph, dec: EndsDecider, st: ExtensibleState, w_eff: int, radius: int
+) -> Iterator[Candidate]:
     """Fast path for a target reachable from only one witness: that side
-    carries a region covering the target, the other side grows minimally."""
-    f = st.path
+    carries a region covering the target, the other side grows minimally.
+    The right side (from the end witness) is tried first, then the left."""
     image = st.certified.image
     u, v = st.witness_start, st.witness_end
-    main_entry, other_entry = (v, u) if side == "right" else (u, v)
-    p = shortest_path(graph, main_entry, w_eff, avoid=image, cap=radius)
-    if p is None:
-        return None
-    main = set(p)
-    if other_entry in main:
-        return None
-    other = {other_entry}
-    certified = _absorb_into(graph, dec, [main, other], st.certified)
-    if main & other:
-        return None
-    try:
-        exit_main = _exit_vertex(graph, main, main_entry, image, other)
-        walk_main = karaganis_path(induced_patch(graph, main), main_entry, exit_main)
-        exit_other = _exit_vertex(graph, other, other_entry, image, main)
-        walk_other = karaganis_path(induced_patch(graph, other), other_entry, exit_other)
-    except InvariantError:
-        return None
-    left_walk, right_walk = (
-        (walk_other, walk_main) if side == "right" else (walk_main, walk_other)
-    )
-    try:
-        cand = _splice(f, left_walk, right_walk)
-    except InvariantError:
-        return None
-    return _validate_candidate(graph, dec, st, cand, w, main | other, certified)
+    for main_entry, other_entry in ((v, u), (u, v)):
+        p = shortest_path(graph, main_entry, w_eff, avoid=image, cap=radius)
+        if p is None:
+            continue
+        main = set(p)
+        if other_entry in main:
+            continue
+        other = {other_entry}
+        certified = _absorb_into(graph, dec, [main, other], st.certified)
+        if main & other:
+            continue
+        try:
+            exit_main = _exit_vertex(graph, main, main_entry, image, other)
+            walk_main = karaganis_path(induced_patch(graph, main), main_entry, exit_main)
+            exit_other = _exit_vertex(graph, other, other_entry, image, main)
+            walk_other = karaganis_path(induced_patch(graph, other), other_entry, exit_other)
+        except InvariantError:
+            continue
+        if main_entry == v:
+            yield walk_other, walk_main, certified
+        else:
+            yield walk_main, walk_other, certified
 
 
 def _enumerate_candidates(
@@ -340,13 +362,13 @@ def _enumerate_candidates(
 
 
 def _try_enumerate(
-    graph, dec: EndsDecider, st: ExtensibleState, w_eff: int, w: int, radius: int
-) -> ExtensibleState | None:
+    graph, dec: EndsDecider, st: ExtensibleState, w_eff: int, radius: int
+) -> Iterator[Candidate]:
     """The complete, deterministic exhaustive search (slow path).
 
     Candidates are enumerated by increasing total size then lexicographic
     order over a pool of complement vertices within ``radius`` of the
-    path, and put through the same validator as the fast paths.
+    path, and only those covering the target are yielded.
     """
     f = st.path
     image = st.certified.image
@@ -368,40 +390,34 @@ def _try_enumerate(
             graph, f.first, f.last, pool, total
         ):
             dec.fuel.tick()
-            if w_eff not in left_walk and w_eff not in right_walk:
-                continue
-            try:
-                cand = _splice(f, left_walk, right_walk)
-            except InvariantError:
-                continue
-            added = set(left_walk).union(right_walk)
-            state = _validate_candidate(graph, dec, st, cand, w, added, None)
-            if state is not None:
-                return state
-    return None
+            if w_eff in left_walk or w_eff in right_walk:
+                yield left_walk, right_walk, None
 
 
 def extend_to_visit(graph, dec: EndsDecider, st: ExtensibleState, w: int) -> ExtensibleState:
     """Extend a bi-extensible state to one that also visits ``w``.
 
-    The result's path restricted to the old domain is exactly the old
-    path, the domain grows strictly on both sides, and the result is again
-    bi-extensible.  When ``w`` is already visited the path still grows
-    both ways (steering toward its own end witness).  Raises FuelExhausted
-    when the budget runs out — on a correctly declared one- or two-ended
-    graph the search always succeeds first.
+    At radius 4, 8, 16, ... the split, then the one-sided fast path, and
+    from radius 16 on the exhaustive search yield candidate walk pairs in
+    turn; the first one the validator accepts is the new state.  Its path
+    restricted to the old domain is exactly the old path, the domain grows
+    strictly on both sides, and the result is again bi-extensible.  When
+    ``w`` is already visited the path still grows both ways (steering
+    toward its own end witness).  Raises FuelExhausted when the budget
+    runs out — on a correctly declared one- or two-ended graph the search
+    always succeeds first.
     """
     w_eff = w if w not in st.certified.image else st.witness_end
     radius = 4
     while True:
         dec.fuel.tick()
-        state = _try_split(graph, dec, st, w_eff, w, radius)
-        if state is None:
-            state = _try_one_side(graph, dec, st, w_eff, w, radius, "right")
-        if state is None:
-            state = _try_one_side(graph, dec, st, w_eff, w, radius, "left")
-        if state is None and radius >= 16:
-            state = _try_enumerate(graph, dec, st, w_eff, w, min(radius // 4, 6))
-        if state is not None:
-            return state
+        candidates = itertools.chain(
+            _try_split(graph, dec, st, w_eff, radius),
+            _try_one_side(graph, dec, st, w_eff, radius),
+            _try_enumerate(graph, dec, st, w_eff, min(radius // 4, 6)) if radius >= 16 else (),
+        )
+        for left, right, certified in candidates:
+            state = _validate_candidate(graph, dec, st, left, right, w, certified)
+            if state is not None:
+                return state
         radius *= 2

@@ -16,7 +16,6 @@ paths stay within jump bound 3.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 from .errors import InvariantError
 from .graph import FinitePatch, components_of, distance
@@ -87,33 +86,9 @@ def shift_path(f: ThreePath, k: int) -> ThreePath:
     return ThreePath(start=f.start + k, vertices=f.vertices)
 
 
-def extend_path(
-    f: ThreePath, before: Sequence[int] = (), after: Sequence[int] = ()
-) -> ThreePath:
-    """Grow ``f`` on both sides, keeping every existing index where it is.
-
-    ``before`` is prepended in the given order (its last entry lands at
-    index ``f.lo - 1``), ``after`` appended.  Jump bounds are the caller's
-    responsibility (see :func:`check_jumps`).
-    """
-    vertices = tuple(before) + f.vertices + tuple(after)
-    return ThreePath(start=f.start - len(before), vertices=vertices)
-
-
-def check_jumps(
-    graph,
-    path: ThreePath,
-    max_jump: int = 3,
-    positions: Iterable[int] | None = None,
-) -> None:
-    """Verify jump bounds, raising :class:`InvariantError` on the first failure.
-
-    ``positions`` restricts the check to jumps ``(i, i+1)`` for the given
-    indices ``i`` (useful when only new segments of a grown path need
-    checking); by default every consecutive pair is verified.
-    """
-    idxs = range(path.lo, path.hi) if positions is None else positions
-    for i in idxs:
+def check_jumps(graph, path: ThreePath, max_jump: int = 3) -> None:
+    """Verify jump bounds, raising :class:`InvariantError` on the first failure."""
+    for i in range(path.lo, path.hi):
         u, v = path.at(i), path.at(i + 1)
         if distance(graph, u, v, cap=max_jump) is None:
             raise InvariantError(

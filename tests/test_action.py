@@ -290,6 +290,30 @@ def test_stages_rejected_in_subgroup_mode(f2_engine):
         f2_engine.ensure_visited(1)
 
 
+def test_negative_stage_rejected_on_fresh_engine():
+    with pytest.raises(ConfigError):
+        engine_for("Z2", Fuel(1_000_000)).build_stage(-1)
+
+
+def test_negative_stage_does_not_wrap_around():
+    eng = engine_for("Z2", Fuel(1_000_000))
+    eng.build_stage(5)
+    with pytest.raises(ConfigError):
+        eng.build_stage(-3)
+
+
+def test_subgroup_arrow_offsets_reject_negative_vertex(f2_engine):
+    f2_engine.arrow_offsets(0)  # the cached pair must not answer for -1
+    for call in (
+        lambda: f2_engine.arrow_offsets(-1),
+        lambda: f2_engine.act(-1, 1),
+        lambda: f2_engine.same_orbit(-1, 0),
+        lambda: f2_engine.orbit_key(-1),
+    ):
+        with pytest.raises(ValueError):
+            call()
+
+
 def test_subgroup_mode_needs_subgroup_data():
     with pytest.raises(ConfigError):
         ActionEngine(builtin_group("FreeF2"))

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 from tlaction import (
@@ -10,6 +12,7 @@ from tlaction import (
     ExtensibleState,
     Fuel,
     InvariantError,
+    ball,
     builtin_group,
     engine_for,
     extend_to_visit,
@@ -140,8 +143,8 @@ def test_exhaustive_fallback_extends(monkeypatch, group, target):
     eng = engine_for(group, Fuel(10_000_000))
     eng.build_stage(3)
     st = eng._state
-    monkeypatch.setattr(extenders, "_try_split", lambda *args: None)
-    monkeypatch.setattr(extenders, "_try_one_side", lambda *args: None)
+    monkeypatch.setattr(extenders, "_try_split", lambda *args: iter(()))
+    monkeypatch.setattr(extenders, "_try_one_side", lambda *args: iter(()))
     ext = extend_to_visit(eng.graph, eng.dec, st, target)  # only _try_enumerate is left
     old, new = st.path, ext.path
     assert all(new.at(n) == old.at(n) for n in old.domain)
@@ -149,3 +152,57 @@ def test_exhaustive_fallback_extends(monkeypatch, group, target):
     assert new.visits(target)
     check_jumps(eng.graph, new, max_jump=3)
     assert state_from_path(eng.graph, eng.dec, new) is not None
+
+
+# -- the validator --------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def accepted():
+    """A Z2 state, the walks its accepted extension to vertex 11 glued on,
+    and an unvisited vertex more than 3 from the path's first vertex."""
+    eng = engine_for("Z2", Fuel(10_000_000))
+    eng.build_stage(3)
+    st = eng._state
+    new = extend_to_visit(eng.graph, eng.dec, st, 11).path
+    left = tuple(reversed(new.vertices[: st.path.lo - new.lo]))
+    right = new.vertices[st.path.hi - new.lo + 1 :]
+    near = ball(eng.graph, st.path.first, 3) | set(new.vertices)
+    far = next(v for v in itertools.count() if v not in near)
+    return eng, st, left, right, far
+
+
+def test_validator_accepts_the_extension_walks(accepted):
+    eng, st, left, right, _ = accepted
+    new = extenders._validate_candidate(eng.graph, eng.dec, st, left, right, 11, None)
+    assert new is not None and new == extend_to_visit(eng.graph, eng.dec, st, 11)
+
+
+@pytest.mark.parametrize(
+    "defect",
+    ["empty side", "repeated vertex", "shared vertex", "enters image", "junction jump", "misses target"],
+)
+def test_validator_rejects_and_leaves_state_unchanged(accepted, defect):
+    eng, st, left, right, far = accepted
+    target = 11
+    if defect == "empty side":
+        left = ()
+    elif defect == "repeated vertex":
+        right = right + right[:1]
+    elif defect == "shared vertex":
+        right = right + left[:1]
+    elif defect == "enters image":
+        right = right + (st.path.first,)
+    elif defect == "junction jump":
+        left, target = (far,), st.path.first
+    else:
+        target = far
+    path, certified = st.path, st.certified
+    before = (certified.image, certified.boundary, certified.floor)
+    fuel = eng.fuel.consumed
+    assert extenders._validate_candidate(eng.graph, eng.dec, st, left, right, target, None) is None
+    assert st.path is path and st.path == path
+    assert st.certified is certified
+    assert (certified.image, certified.boundary, certified.floor) == before
+    if defect != "junction jump":
+        assert eng.fuel.consumed == fuel  # rejected before any search

@@ -11,7 +11,6 @@ from tlaction import (
     InvariantError,
     ThreePath,
     distance,
-    extend_path,
     invert_path,
     karaganis_constrained,
     karaganis_path,
@@ -132,11 +131,11 @@ def test_invert_two_vertex_domain():
 
 
 def test_concat_reindexing():
-    # extend_path concatenates: the appended path keeps the order of its
-    # vertices, not its indices
+    # a grown path is a concatenation: the appended path keeps the order of
+    # its vertices, not its indices
     f = ThreePath(0, (0, 1))
     g = ThreePath(5, (3, 2))
-    h = extend_path(f, after=g.vertices)
+    h = ThreePath(f.start, f.vertices + g.vertices)
     assert (h.lo, h.hi) == (0, 3)
     assert tuple(h.vertices) == (0, 1, 3, 2)
     check_jumps(p4(), h)
@@ -144,7 +143,7 @@ def test_concat_reindexing():
 
 def test_concat_singletons():
     patch = FinitePatch((0, 1), ((0, 1),))
-    h = extend_path(ThreePath(0, (0,)), after=(1,))
+    h = ThreePath(0, (0,) + (1,))
     assert tuple(h.vertices) == (0, 1)
     check_jumps(patch, h, max_jump=1)
 
@@ -153,22 +152,10 @@ def test_concat_rejects_overlap_and_long_jump():
     # growing a path is concatenation: overlap breaks injectivity, and a
     # junction jump over 3 fails the jump check
     with pytest.raises(InvariantError):
-        extend_path(ThreePath(0, (0, 1)), after=(1, 2))
+        ThreePath(0, (0, 1) + (1, 2))
     wide = FinitePatch(tuple(range(6)), tuple((k, k + 1) for k in range(5)))
     with pytest.raises(InvariantError):
-        check_jumps(wide, extend_path(ThreePath(0, (0,)), after=(5,)))
-
-
-def test_extend_path_both_sides():
-    p = ThreePath(0, (0, 1))
-    q = extend_path(p, after=(2,))
-    assert tuple(q.vertices) == (0, 1, 2)
-    assert q.start == 0
-    r = extend_path(p, before=(2,))
-    assert tuple(r.vertices) == (2, 0, 1)
-    assert r.start == -1
-    both = extend_path(p, before=(3,), after=(2,))
-    assert (both.start, tuple(both.vertices)) == (-1, (3, 0, 1, 2))
+        check_jumps(wide, ThreePath(0, (0,) + (5,)))
 
 
 def test_three_path_rejects_repeats():
@@ -181,7 +168,6 @@ def test_check_jumps():
     check_jumps(p4(), path)
     with pytest.raises(InvariantError):
         check_jumps(p4(), path, max_jump=2)
-    check_jumps(p4(), path, max_jump=2, positions=[0, 2])
 
 
 # -- properties ----------------------------------------------------------------
@@ -212,6 +198,6 @@ def test_concat_preserves_validity(seed):
     offset = rng.randrange(cut, min(cut + 3, 8))
     g = ThreePath(9, tuple(range(offset, 8)))
     if offset == cut or offset - (cut - 1) <= 3:
-        h = extend_path(f, after=g.vertices)
+        h = ThreePath(f.start, f.vertices + g.vertices)
         assert h.domain == range(0, len(f) + len(g))
         check_jumps(chain, h)
