@@ -1,7 +1,8 @@
 """Goldens: the realized stage paths, act tables, verify checks, the
-normal forms of short words in the shipped cyclic-subgroup instances, the
-orbit positions of their radius-4 balls, and the period-3 overlay round
-trip on those balls and on Z2's radius-5 ball.
+numbering of the free products of cyclic groups, the normal forms of short
+words in the shipped cyclic-subgroup instances, the orbit positions of
+their radius-4 balls, and the period-3 overlay round trip on those balls
+and on Z2's radius-5 ball.
 
 Each digest is the SHA-256 of a canonical ``repr`` of values the package
 computes.  They pin that a refactor of the construction keeps every
@@ -13,6 +14,7 @@ refactor may legitimately remove.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -25,6 +27,9 @@ from tlaction import (
     amalgam_normal_form,
     arrow_projection,
     ball,
+    builtin_group,
+    canonical_numbering,
+    cyclic_group,
     engine_for,
     group_from_config,
     hnn_normal_form,
@@ -72,6 +77,16 @@ ACT_DIGESTS = {
     "Z3": "9a90b522e2c979fa5d9346d1274272512646f8e30bc092cf0897c0e81dca74d5",
     "BS12": "57c4b2e27cb8cd4800892c46f4a3cca06b401d30ff1a13c5196b49e9628953ca",
 }
+
+# the first NUMBERING_COUNT canonical words and fast_word at 10^9 and 10^18
+NUMBERING_COUNT = 5000
+NUMBERING_DIGESTS = {
+    "FreeF2": "c37c140a6e623607f100a9a83ddc99e04fb1e07bdc49110171e906f877b77abe",
+    "Z2HNN": "8feec1cda0696f253d32cd578444e5e804073770754a6cac0a9476207d1a37b3",
+    "Z2starZ3": "a03761fb217ede39be4fd76ebfa63284eedfe3061ffb4cb5e86fe922bc9be107",
+}
+# the canonical words of every element of cyclic_group(n), n = 2..7
+CYCLIC_ELEMENTS_DIGEST = "e731a098c1caae8ccf16e77fd1b1cf7355664a331f29a7964956cbd4131399fe"
 
 VERIFY_ALL_SEED7_DIGEST = "e33750b912c91982330577ed15671937f18aa87f60acd62ed3e0e85eb0851da7"
 
@@ -170,6 +185,24 @@ def test_more_stage_paths_golden(name):
 @pytest.mark.parametrize("group", sorted(LAST_STAGE))
 def test_act_table_golden(grown, group):
     assert _digest(act_table(grown(group))) == ACT_DIGESTS[group]
+
+
+@pytest.mark.parametrize("name", sorted(NUMBERING_DIGESTS))
+def test_numbering_golden(name):
+    oracle = builtin_group(name)
+    words = [canonical_numbering(oracle).to_word(n) for n in range(NUMBERING_COUNT)]
+    # the lazy enumeration, deduplicated by the key, lists the same words
+    lazy = canonical_numbering(dataclasses.replace(oracle, fast_index=None, fast_word=None))
+    assert [lazy.to_word(n) for n in range(NUMBERING_COUNT)] == words
+    far = (oracle.fast_word(10**9), oracle.fast_word(10**18))
+    assert _digest((words, *far)) == NUMBERING_DIGESTS[name]
+
+
+def test_cyclic_elements_golden():
+    elements = [
+        [canonical_numbering(cyclic_group(n)).to_word(i) for i in range(n)] for n in range(2, 8)
+    ]
+    assert _digest(elements) == CYCLIC_ELEMENTS_DIGEST
 
 
 def test_verify_all_seed7_golden():
