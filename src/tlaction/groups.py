@@ -11,6 +11,14 @@ this package are numbering indices.
 Words are tuples of signed, 1-based generator letters: letter ``+(i+1)``
 is generator ``i`` and ``-(i+1)`` its inverse.  The shortlex order uses
 the alphabet order ``s1 < s1^-1 < s2 < s2^-1 < ...``.
+
+The built-in keys: Z^d counts coordinates and BS(1,2) tracks exponents,
+both one letter at a time.  FreeF2, Z2starZ3, Z2HNN and the cyclic
+groups are free products of cyclic groups, and one reduction,
+:func:`_free_product_key`, gives each element's shortlex-least word; that
+word is their key and, for the three many-ended ones, the input of a
+closed-form numbering (:class:`_PairLanguageIndex`).  Z keeps a closed
+form of its own.
 """
 
 from __future__ import annotations
@@ -139,7 +147,8 @@ class GroupOracle:
     # fast_word(n) the n-th canonical word.  Both must agree with the lazy
     # enumeration; they let the numbering answer far beyond the enumerated
     # frontier (exponential-growth groups would otherwise need enumeration
-    # of the whole ball).
+    # of the whole ball).  Z has its own; FreeF2, Z2starZ3 and Z2HNN share
+    # one pair language.
     fast_index: Callable[[Word], int] | None = None
     fast_word: Callable[[int], Word] | None = None
     key_step: Callable[[Hashable, int], Hashable] | None = None
@@ -203,63 +212,43 @@ def _zd_step(key: tuple[int, ...], lt: int) -> tuple[int, ...]:
     return tuple(coords)
 
 
-def _free_key(word: Word) -> tuple[int, ...]:
-    stack: list[int] = []
-    for lt in word:
-        if stack and stack[-1] == -lt:
-            stack.pop()
-        else:
-            stack.append(lt)
-    return tuple(stack)
+def _free_product_key(orders: tuple[int, ...]) -> Callable[[Word], Word]:
+    """The shortlex-least word of an element of a free product of cyclic
+    groups, generator i of order ``orders[i]`` (0 for infinite order).
 
-
-def _z2_z3_key(word: Word) -> tuple:
-    """Normal form in <a, b | a^2, b^3>: alternating a-letters and b^{1,2} blocks.
-
-    Realised by the confluent length-reducing rewriting a^-1 -> a,
-    a*a -> e, b-exponents summed mod 3 (an exponent of 2 is one letter,
-    b^-1), together with free reduction.
+    By the normal form theorem for free products (Lyndon and Schupp, Ch.
+    IV.1) the least word is the element's syllables, each spelled by its
+    least block: g^k with 0 < k <= n/2 as k letters g, and k > n/2 as
+    n - k letters g^-1 (g^k for every k in an infinite factor).  A letter
+    that does not cancel the top of the stack is pushed when its generator
+    has infinite order; otherwise it pops its generator's trailing block
+    (at most n/2 letters) and pushes the block of the summed exponent.
     """
-    stack: list[tuple[str, int]] = []
+    finite: dict[int, int] = {}  # letter -> order of its generator
+    for i, n in enumerate(orders):
+        if n:
+            finite[i + 1] = finite[-i - 1] = n
 
-    def push(sym: str, exp: int) -> None:
-        if stack and stack[-1][0] == sym:
-            _, old = stack.pop()
-            merged = old + exp
-            merged = merged % 2 if sym == "a" else merged % 3
-            if merged:
-                push(sym, merged)
-        else:
-            exp = exp % 2 if sym == "a" else exp % 3
-            if exp:
-                stack.append((sym, exp))
-
-    for lt in word:
-        if abs(lt) == 1:
-            push("a", 1)
-        else:
-            push("b", 1 if lt > 0 else 2)
-    return tuple(stack)
-
-
-def _z2_z_key(word: Word) -> tuple:
-    """Normal form in <a, t | a^2>: alternating a-letters and t^k blocks."""
-    stack: list[tuple[str, int]] = []
-    for lt in word:
-        if abs(lt) == 1:
-            if stack and stack[-1][0] == "a":
-                stack.pop()
+    def key(word: Word) -> Word:
+        out: list[int] = []
+        for lt in word:
+            if out and out[-1] == -lt:
+                out.pop()
+            elif lt not in finite:
+                out.append(lt)
             else:
-                stack.append(("a", 1))
-        else:
-            exp = 1 if lt > 0 else -1
-            if stack and stack[-1][0] == "t":
-                _, old = stack.pop()
-                if old + exp:
-                    stack.append(("t", old + exp))
-            else:
-                stack.append(("t", exp))
-    return tuple(stack)
+                # a block has one sign and -lt cancelled above, so lt's
+                # generator ends the stack only in a run of lt itself
+                n, run = finite[lt], 1
+                while out and out[-1] == lt:
+                    out.pop()
+                    run += 1
+                e = (run if lt > 0 else -run) % n
+                g = abs(lt)
+                out.extend((g,) * e if 2 * e <= n else (-g,) * (n - e))
+        return tuple(out)
+
+    return key
 
 
 def _bs12_step(key: tuple[int, int, int], lt: int) -> tuple[int, int, int]:
@@ -293,28 +282,30 @@ def _bs12_key(word: Word) -> tuple[int, int, int]:
 
 
 class _PairLanguageIndex:
-    """Closed-form shortlex numbering for a canonical-word language defined
-    by allowed adjacent letter pairs.
+    """Closed-form shortlex numbering of a free product of C2, C3 and Z.
 
-    Many oracles' shortlex-least representatives form such a language (free
-    groups: never follow a letter by its inverse; free products of cyclic
-    groups: block constraints).  Given the letters in alphabet order, the
-    allowed successors of each letter, and a canonicaliser mapping any word
-    to the least representative of its element, the numbering index is a
-    mixed-radix numeral computed by counting admissible completions, and
-    the inverse decodes a numeral back into a word.  Both agree with the
-    lazy level-by-level enumeration (which is how they are tested).
+    Its least words (see :func:`_free_product_key`) form a language defined
+    by allowed adjacent letter pairs: every letter but g^-1 of an order-2
+    generator g occurs, and a letter may follow any letter of another
+    generator, or itself when its generator has infinite order.  The
+    numbering index is a mixed-radix numeral computed by counting
+    admissible completions, and the inverse decodes a numeral back into a
+    word.  Both agree with the lazy level-by-level enumeration (which is
+    how they are tested).
     """
 
-    def __init__(
-        self,
-        letters: tuple[int, ...],
-        allowed_after: dict[int, tuple[int, ...]],
-        canonical_of: Callable[[Word], Word],
-    ):
+    def __init__(self, orders: tuple[int, ...]):
+        if not set(orders) <= {0, 2, 3}:
+            raise ConfigError(f"pair languages need orders 0, 2 or 3, got {orders}")
+        letters = tuple(
+            letter(i, sign) for i, n in enumerate(orders) for sign in (1, -1) if n != 2 or sign > 0
+        )
         self.letters = letters
-        self.allowed_after = allowed_after
-        self.canonical_of = canonical_of
+        self.allowed_after = {
+            x: tuple(y for y in letters if abs(y) != abs(x) or (y == x and not orders[abs(x) - 1]))
+            for x in letters
+        }
+        self.canonical_of = _free_product_key(orders)
         # _completions[j][l] = number of admissible j-letter continuations after l
         self._completions: list[dict[int, int]] = [{l: 1 for l in letters}]
         self._level_start = [0, 1]  # index of the first word of each length
@@ -374,43 +365,6 @@ class _PairLanguageIndex:
             else:
                 raise ValueError(f"index {n} exceeds the language")
         return tuple(out)
-
-
-def _free_language(rank: int) -> _PairLanguageIndex:
-    letters = tuple(letter(i, sign) for i in range(rank) for sign in (1, -1))
-    allowed = {l: tuple(x for x in letters if x != -l) for l in letters}
-    return _PairLanguageIndex(letters, allowed, _free_key)
-
-
-def _z2_z3_canonical(word: Word) -> Word:
-    # least representative: a-letters as 1, b as 2, b^2 = b^-1 as -2
-    out: list[int] = []
-    for sym, exp in _z2_z3_key(word):
-        out.append(1 if sym == "a" else (2 if exp == 1 else -2))
-    return tuple(out)
-
-
-def _z2_z3_language() -> _PairLanguageIndex:
-    # letters a, b, b^-1; blocks alternate, so after a b-letter only a fits
-    allowed = {1: (2, -2), 2: (1,), -2: (1,)}
-    return _PairLanguageIndex((1, 2, -2), allowed, _z2_z3_canonical)
-
-
-def _z2_z_canonical(word: Word) -> Word:
-    # least representative: a-letters as 1, t^k blocks as constant-sign runs
-    out: list[int] = []
-    for sym, exp in _z2_z_key(word):
-        if sym == "a":
-            out.append(1)
-        else:
-            out.extend((2 if exp > 0 else -2,) * abs(exp))
-    return tuple(out)
-
-
-def _z2_z_language() -> _PairLanguageIndex:
-    # letters a, t, t^-1; no a a (a is an involution) and no t-cancellation
-    allowed = {1: (2, -2), 2: (1, 2), -2: (1, -2)}
-    return _PairLanguageIndex((1, 2, -2), allowed, _z2_z_canonical)
 
 
 def _z_index(word: Word) -> int:
@@ -473,40 +427,24 @@ def _zd_oracle(d: int, names: tuple[str, ...] | None = None) -> GroupOracle:
     )
 
 
-def _free_f2_oracle() -> GroupOracle:
-    lang = _free_language(2)
+# the many-ended built-ins: free products of cyclic groups (order 0 is Z)
+_FREE_PRODUCTS = {
+    "FreeF2": (("a", "b"), (0, 0)),
+    "Z2starZ3": (("a", "b"), (2, 3)),
+    "Z2HNN": (("a", "t"), (2, 0)),
+}
+
+
+def _free_product_oracle(
+    name: str, generator_names: tuple[str, ...], orders: tuple[int, ...]
+) -> GroupOracle:
+    lang = _PairLanguageIndex(orders)
     return GroupOracle(
-        name="FreeF2",
-        generator_names=("a", "b"),
-        wp=_wp_from_key(_free_key),
+        name=name,
+        generator_names=generator_names,
+        wp=_wp_from_key(lang.canonical_of),
         declared_ends="many",
-        normal_key=_free_key,
-        fast_index=lang.index_of,
-        fast_word=lang.word_of,
-    )
-
-
-def _z2_star_z3_oracle() -> GroupOracle:
-    lang = _z2_z3_language()
-    return GroupOracle(
-        name="Z2starZ3",
-        generator_names=("a", "b"),
-        wp=_wp_from_key(_z2_z3_key),
-        declared_ends="many",
-        normal_key=_z2_z3_key,
-        fast_index=lang.index_of,
-        fast_word=lang.word_of,
-    )
-
-
-def _z2_hnn_oracle() -> GroupOracle:
-    lang = _z2_z_language()
-    return GroupOracle(
-        name="Z2HNN",
-        generator_names=("a", "t"),
-        wp=_wp_from_key(_z2_z_key),
-        declared_ends="many",
-        normal_key=_z2_z_key,
+        normal_key=lang.canonical_of,
         fast_index=lang.index_of,
         fast_word=lang.word_of,
     )
@@ -540,12 +478,8 @@ def builtin_group(name: str) -> GroupOracle:
         return _zd_oracle(d)
     if text.startswith("Z") and text[1:].isdigit():
         return _zd_oracle(int(text[1:]))
-    if text == "FreeF2":
-        return _free_f2_oracle()
-    if text == "Z2starZ3":
-        return _z2_star_z3_oracle()
-    if text == "Z2HNN":
-        return _z2_hnn_oracle()
+    if text in _FREE_PRODUCTS:
+        return _free_product_oracle(text, *_FREE_PRODUCTS[text])
     if text == "BS12":
         return _bs12_oracle()
     raise ConfigError(f"unknown group {name!r}")
@@ -554,9 +488,9 @@ def builtin_group(name: str) -> GroupOracle:
 _STRATEGIES: dict[str, Callable[..., GroupOracle]] = {
     "z": lambda **kw: _zd_oracle(1, kw.get("generators")),
     "zd": lambda **kw: _zd_oracle(kw.get("d", 2), kw.get("generators")),
-    "free": lambda **kw: _free_f2_oracle(),
-    "z2_star_z3": lambda **kw: _z2_star_z3_oracle(),
-    "z2_star_z": lambda **kw: _z2_hnn_oracle(),
+    "free": lambda **kw: builtin_group("FreeF2"),
+    "z2_star_z3": lambda **kw: builtin_group("Z2starZ3"),
+    "z2_star_z": lambda **kw: builtin_group("Z2HNN"),
     "bs12": lambda **kw: _bs12_oracle(),
 }
 
@@ -587,6 +521,8 @@ def group_from_config(config: dict | str) -> GroupOracle:
         )
     kwargs = {}
     if "d" in config:
+        if strategy != "zd":
+            raise ConfigError(f"'d' applies only to the 'zd' strategy, not {strategy!r}")
         if type(config["d"]) is not int:
             raise ConfigError(f"'d' must be an integer, got {config['d']!r}")
         kwargs["d"] = config["d"]
@@ -774,6 +710,8 @@ class Numbering:
         ``to_word(n)`` and then ``to_index`` on words one letter longer
         would grow it.
         """
+        if n < 0:
+            raise ValueError(f"index must be a natural number, got {n}")
         oracle = self.oracle
         if oracle.key_step is None or oracle.fast_index is not None:
             word = self.to_word(n)

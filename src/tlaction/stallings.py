@@ -23,6 +23,8 @@ from .groups import (
     GroupOracle,
     Numbering,
     Word,
+    _free_product_key,
+    _wp_from_key,
     builtin_group,
     canonical_numbering,
     concat_words,
@@ -39,17 +41,11 @@ def cyclic_group(order: int, generator: str = "a") -> GroupOracle:
     """The cyclic group of the given finite order on one generator."""
     if order < 2:
         raise ConfigError("cyclic order must be at least 2")
-
-    def key(word: Word) -> int:
-        return sum(1 if lt > 0 else -1 for lt in word) % order
-
-    def wp(word: Word) -> bool:
-        return key(word) == 0
-
+    key = _free_product_key((order,))
     return GroupOracle(
         name=f"C{order}",
         generator_names=(generator,),
-        wp=wp,
+        wp=_wp_from_key(key),
         declared_ends=0,
         normal_key=key,
     )

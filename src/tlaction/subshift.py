@@ -285,6 +285,8 @@ def yxj_forbidden(
     Otherwise the answer is :data:`FALSE_SO_FAR` — never plain ``False``,
     because a bigger budget could still reveal a match.
     """
+    if enum_budget < 0:
+        raise ConfigError(f"enum_budget must be at least 0, got {enum_budget}")
     if xj_forbidden(graph, J, arrow_projection(patch)):
         return True
     words = [tuple(w) for w in itertools.islice(iter(forbidden_y), enum_budget)]

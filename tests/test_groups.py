@@ -23,6 +23,7 @@ from tlaction import (
     builtin_group,
     canonical_numbering,
     concat_words,
+    cyclic_group,
     group_from_config,
     inverse_word,
     letter,
@@ -30,9 +31,16 @@ from tlaction import (
     word_from_str,
     word_to_str,
 )
-from tlaction.groups import EPSILON
+from tlaction.groups import EPSILON, _PairLanguageIndex
 
-from oracles import bs12_ball_elements, bs12_element, free_reduce, z2z3_reduce, z2z_reduce
+from oracles import (
+    bs12_ball_elements,
+    bs12_element,
+    free_reduce,
+    wp_shortlex_enumerate,
+    z2z3_reduce,
+    z2z_reduce,
+)
 
 BUILTINS = ("Z", "Z2", "Z3", "FreeF2", "Z2starZ3", "Z2HNN", "BS12")
 
@@ -123,6 +131,40 @@ def test_wp_agrees_with_rewriting_oracles(rng):
         for _ in range(300):
             w = _random_word(rng, g, 10)
             assert g.wp(w) == oracle_wp(w), (name, w)
+
+
+def test_free_product_key_is_the_rewriting_oracles_word(rng):
+    # the key is the least word itself, so it equals the fixpoint rewrite
+    cases = {"FreeF2": free_reduce, "Z2starZ3": z2z3_reduce, "Z2HNN": z2z_reduce}
+    for name, reduce_word in cases.items():
+        key = builtin_group(name).normal_key
+        for _ in range(500):
+            w = _random_word(rng, builtin_group(name), 16)
+            assert key(w) == reduce_word(w), (name, w)
+        # long runs of one letter: each run is one block
+        for lt in (1, -1, 2, -2):
+            w = (lt,) * 401 + (-lt,) * 200
+            assert key(w) == reduce_word(w), (name, lt)
+        with pytest.raises(ConfigError, match="letter 3 impossible"):
+            builtin_group(name).fast_index((1, 3))
+
+
+@pytest.mark.parametrize("order", range(4, 8))
+def test_cyclic_key_is_the_least_word(rng, order):
+    # independent of the package: the exponent sum decides the element
+    least = wp_shortlex_enumerate(lambda w: sum(w) % order == 0, 1, order)
+    by_exponent = {sum(w) % order: w for w in least}
+    group = cyclic_group(order)
+    num = canonical_numbering(group)
+    assert [num.to_word(i) for i in range(order)] == least
+    for _ in range(300):
+        w = tuple(rng.choice((1, -1)) for _ in range(rng.randrange(30)))
+        assert group.normal_key(w) == by_exponent[sum(w) % order], w
+
+
+def test_pair_language_needs_orders_0_2_or_3():
+    with pytest.raises(ConfigError, match="orders 0, 2 or 3"):
+        _PairLanguageIndex((2, 4))
 
 
 def test_wp_of_w_winv_for_all_builtins(rng):
@@ -338,6 +380,17 @@ def test_z_closed_form_matches_enumeration():
         oracle.fast_word(-1)
 
 
+@pytest.mark.parametrize("name", ["Z", "Z2", "BS12", "FreeF2"])
+def test_negative_index_is_refused_alike(name):
+    # every numbering path refuses n < 0 before it reads or grows anything
+    num = canonical_numbering(builtin_group(name))
+    graph = CayleyGraph(builtin_group(name))
+    for call in (num.to_word, num.neighbour_row, graph.neighbors, lambda v: graph.step(v, 1)):
+        with pytest.raises(ValueError, match="index must be a natural number"):
+            call(-1)
+    assert num.known_count() == 1
+
+
 def test_metered_numbering_leaves_whole_levels():
     # wp-only path: candidates and the words each search scans tick fuel
     plain = dataclasses.replace(
@@ -413,6 +466,12 @@ def test_group_from_config_errors():
         group_from_config({"strategy": "zd", "d": 2, "generators": ["x"]})
     with pytest.raises(ConfigError):
         group_from_config({"strategy": "zd", "declared_ends": 7})
+
+
+@pytest.mark.parametrize("strategy", ["z", "free", "z2_star_z3", "z2_star_z", "bs12"])
+def test_group_from_config_refuses_d_outside_zd(strategy):
+    with pytest.raises(ConfigError, match="'d' applies only to the 'zd' strategy"):
+        group_from_config({"strategy": strategy, "d": 2})
 
 
 def test_group_from_config_certificate_parsing():

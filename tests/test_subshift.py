@@ -272,6 +272,13 @@ def test_yxj_empty_enumerator_is_false_so_far(z2):
     assert yxj_forbidden(graph, 3, iter(()), patch, BUDGET) == FALSE_SO_FAR
 
 
+def test_yxj_refuses_a_negative_budget(z2):
+    graph = z2.graph
+    patch = overlay(action_patch(z2, ball(graph, 0, 1)), lambda v: "circle")
+    with pytest.raises(ConfigError, match="enum_budget must be at least 0"):
+        yxj_forbidden(graph, 3, period3_enumerator(), patch, -1)
+
+
 def test_arrow_projection_strips_overlay(z2):
     graph = z2.graph
     raw = action_patch(z2, ball(graph, 0, 1))
