@@ -297,10 +297,9 @@ class _PairLanguageIndex:
     def __init__(self, orders: tuple[int, ...]):
         if not set(orders) <= {0, 2, 3}:
             raise ConfigError(f"pair languages need orders 0, 2 or 3, got {orders}")
-        letters = tuple(
+        self.letters = letters = tuple(
             letter(i, sign) for i, n in enumerate(orders) for sign in (1, -1) if n != 2 or sign > 0
         )
-        self.letters = letters
         self.allowed_after = {
             x: tuple(y for y in letters if abs(y) != abs(x) or (y == x and not orders[abs(x) - 1]))
             for x in letters
