@@ -1,8 +1,9 @@
 """Goldens: the realized stage paths, act tables, verify checks, the
 numbering of the free products of cyclic groups, the normal forms of short
 words in the shipped cyclic-subgroup instances, the orbit positions of
-their radius-4 balls, and the period-3 overlay round trip on those balls
-and on Z2's radius-5 ball.
+their radius-4 balls, the period-3 overlay round trip on those balls and
+on Z2's radius-5 ball, and the rule verdicts on corrupted copies of those
+overlays.
 
 Each digest is the SHA-256 of a canonical ``repr`` of values the package
 computes.  They pin that a refactor of the construction keeps every
@@ -18,12 +19,16 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import random
 
 import pytest
 
 from tlaction import (
+    PERIOD3_ALPHABET,
+    ArrowLetter,
     Fuel,
     HnnData,
+    PatternPatch,
     amalgam_normal_form,
     arrow_projection,
     ball,
@@ -127,6 +132,25 @@ OVERLAY_ROUND_TRIP_DIGESTS = {
     "Z2HNN": "5eb7a04417a8ee7b3a3470a0cd3f2472df6d2a3ff8e53ec8a4e55419868a8677",
     "Z2starZ3": "2164c9b4655d774d7ad26189bedc01c1262c2e310061f230ef3eb8afbd661954",
     "Z2": "b9d23b654e978359b38ae2639e5542a31085f77b06efb0eac91d6a6825fe584f",
+}
+
+# corrupted overlays: VERDICT_PATCHES copies per group of the overlay above
+# (and of Z's on its radius-5 ball), each with one to three vertices changed
+# at random, mostly near the identity: an arrow offset becomes another of the
+# patch's offsets or one of VERDICT_WORDS, or the overlay letter changes.
+# Per copy: the xj_forbidden verdict on the arrow projection, the
+# yxj_forbidden verdict (J = 3, budget 6), and phi_map's segment, each as the
+# exception type when one is raised; then the fuel all copies consumed.
+VERDICT_RADIUS = {**OVERLAY_RADIUS, "Z": 5}
+VERDICT_SEED = 24
+VERDICT_PATCHES = 150
+VERDICT_WORDS = ((), (1,), (-1,), (1, 1))
+VERDICT_DIGESTS = {
+    "FreeF2": "ad122548a167bde1f42f2f51e6e32777030341cabceaba12b24aa1a0f9c55883",
+    "Z": "f75e589eb9db3597fea88a384c6d3bad19aefc32837f2bfa8ae17eaa14e722b3",
+    "Z2": "fbba3c88b4ac20e10dc29f05cd94bf7b4eb420a75b6123aa0b0a17be12bb1299",
+    "Z2HNN": "7278ac88012ae06384f82100289ad4af4d44d165cf20b00350e83ca5a1bfb071",
+    "Z2starZ3": "9c75b610020ee53329df49349581c1da8e1f5fffa37a8f2f3b5cc3e9bfc08e72",
 }
 
 
@@ -257,3 +281,49 @@ def test_overlay_round_trip_golden(name):
     xj = xj_forbidden(graph, 3, arrow_projection(patch))
     yxj = yxj_forbidden(graph, 3, period3_enumerator(), patch, 6)
     assert _digest((rows, (back.start, back.letters), xj, yxj)) == OVERLAY_ROUND_TRIP_DIGESTS[name]
+
+
+def _outcome(rule, *args):
+    try:
+        return rule(*args)
+    except Exception as exc:
+        return type(exc).__name__
+
+
+def _corrupted(rng: random.Random, patch: PatternPatch) -> PatternPatch:
+    domain = patch.domain
+    offsets = sorted({w for _, arrow in patch.values.values() for w in (arrow.l, arrow.r)})
+    values = dict(patch.values)
+    for _ in range(rng.randint(1, 3)):
+        v = domain[int(len(domain) * rng.random() ** 3)]
+        letter, arrow = values[v]
+        change = rng.randrange(3)
+        if change == 2:
+            letter = rng.choice([a for a in PERIOD3_ALPHABET if a != letter])
+        else:
+            w = rng.choice(offsets + list(VERDICT_WORDS))
+            arrow = ArrowLetter(w, arrow.r) if change == 0 else ArrowLetter(arrow.l, w)
+        values[v] = (letter, arrow)
+    return PatternPatch(domain, values)
+
+
+@pytest.mark.parametrize("name", sorted(VERDICT_DIGESTS))
+def test_rule_verdicts_golden(name):
+    engine = engine_for(name, Fuel(10**12))
+    graph = engine.graph
+    z = period3_segment(-OVERLAY_REACH, OVERLAY_REACH, shift=OVERLAY_SHIFT)
+    patch = psi_map(engine, z, ball(graph, 0, VERDICT_RADIUS[name]))
+    rng = random.Random(VERDICT_SEED)
+    before = engine.fuel.consumed
+    rows = []
+    for _ in range(VERDICT_PATCHES):
+        p = _corrupted(rng, patch)
+        back = _outcome(phi_map, graph, p)
+        rows.append((
+            _outcome(xj_forbidden, graph, 3, arrow_projection(p)),
+            _outcome(yxj_forbidden, graph, 3, period3_enumerator(), p, 6),
+            back if isinstance(back, str) else (back.start, back.letters),
+        ))
+    xj, yxj, _ = zip(*rows)
+    assert True in xj and False in xj and True in yxj and "false-so-far" in yxj
+    assert _digest((rows, engine.fuel.consumed - before)) == VERDICT_DIGESTS[name]
