@@ -46,7 +46,7 @@ from .errors import (
 from .graph import ball, induced_patch, patch_to_dot, patch_to_json
 from .groups import GroupOracle, builtin_group, group_from_config, word_to_str
 from .subshift import (
-    ArrowLetter,
+    _kind,
     action_patch,
     pattern_patch_from_json,
     pattern_patch_to_json,
@@ -163,19 +163,6 @@ def cmd_export(args: argparse.Namespace) -> int:
     return 0
 
 
-def _patch_kind(patch) -> str:
-    sample = patch.values[patch.domain[0]]
-    if isinstance(sample, ArrowLetter):
-        return "arrow"
-    if (
-        isinstance(sample, tuple)
-        and len(sample) == 2
-        and isinstance(sample[1], ArrowLetter)
-    ):
-        return "pair"
-    return "letter"
-
-
 def cmd_subshift_check(args: argparse.Namespace) -> int:
     cfg = _config(args)
     engine = cfg.engine()
@@ -187,7 +174,7 @@ def cmd_subshift_check(args: argparse.Namespace) -> int:
             raise ConfigError(f"radius must be a natural number, got {args.radius}")
         region = ball(engine.graph, 0, args.radius)
         patch = action_patch(engine, region, J=cfg.J)
-    kind = _patch_kind(patch)
+    kind = _kind(patch.values[patch.domain[0]])
     if kind == "letter":
         raise ConfigError(
             "the patch carries only overlay letters; arrow data is required"

@@ -6,7 +6,8 @@ the outgoing arrows realises ``g * m`` for positive ``m``, the incoming
 arrows for negative ``m``.  This module provides:
 
 - :class:`PatternCoding` / :func:`coding_to_pattern`: finite word-letter
-  codings of patterns, with word-problem consistency checking;
+  codings of patterns, each word named by its numbering index, which is
+  also what finds an inconsistent coding;
 - :func:`star_walk` and the forbidden-pattern rules :func:`xj_forbidden`
   (arrow layer alone) and :func:`yxj_forbidden` (arrow layer overlaid
   with letters from a one-dimensional subshift);
@@ -37,7 +38,6 @@ from .errors import ConfigError, InvariantError
 from .graph import CayleyGraph, distance
 from .groups import (
     GroupOracle,
-    Numbering,
     Word,
     _is_word_list,
     canonical_numbering,
@@ -66,34 +66,11 @@ class PatternCoding:
     """A finite set of (word, letter) pairs describing a pattern.
 
     Consistent when any two words spelling the same element carry the same
-    letter; :meth:`check_consistent` decides this through the word problem.
+    letter; :func:`coding_to_pattern` decides this from the numbering index
+    of each word.
     """
 
     pairs: tuple[tuple[Word, object], ...]
-
-    def check_consistent(self, oracle: GroupOracle) -> None:
-        if oracle.normal_key is not None:
-            seen: dict[object, tuple[Word, object]] = {}
-            for word, letter in self.pairs:
-                key = oracle.normal_key(word)
-                if key in seen:
-                    prev_word, prev_letter = seen[key]
-                    if prev_letter != letter:
-                        raise ConfigError(
-                            f"inconsistent coding: {word!r} and {prev_word!r} "
-                            f"spell one element but carry letters {letter!r} "
-                            f"and {prev_letter!r}"
-                        )
-                else:
-                    seen[key] = (word, letter)
-            return
-        for i, (wi, ai) in enumerate(self.pairs):
-            for wj, aj in self.pairs[i + 1 :]:
-                if oracle.equal(wi, wj) and ai != aj:
-                    raise ConfigError(
-                        f"inconsistent coding: {wi!r} and {wj!r} spell one "
-                        f"element but carry letters {ai!r} and {aj!r}"
-                    )
 
 
 @dataclass(frozen=True)
@@ -115,6 +92,16 @@ class PatternPatch:
             raise InvariantError("patch values must be total on the domain")
 
 
+def _kind(value: object) -> str:
+    """``"arrow"``, ``"pair"`` (an overlay letter and its arrow) or ``"letter"``."""
+    if isinstance(value, ArrowLetter):
+        return "arrow"
+    if isinstance(value, tuple) and len(value) == 2 and isinstance(value[1], ArrowLetter):
+        return "pair"
+    return "letter"
+
+
+# inline rather than through _kind: it runs once per arrow step
 def _arrow_of(value: object) -> ArrowLetter:
     if isinstance(value, ArrowLetter):
         return value
@@ -139,21 +126,23 @@ def arrow_projection(patch: PatternPatch) -> PatternPatch:
 # ---------------------------------------------------------------------------
 
 
-def coding_to_pattern(
-    oracle: GroupOracle,
-    coding: PatternCoding,
-    numbering: Numbering | None = None,
-) -> PatternPatch:
+def coding_to_pattern(oracle: GroupOracle, coding: PatternCoding) -> PatternPatch:
     """The pattern described by a consistent coding.
 
-    Vertex names are numbering indices of the coded words' elements; an
-    inconsistent coding raises :class:`ConfigError`.
+    Vertex names are canonical numbering indices of the coded words'
+    elements; two words with one index but different letters make the
+    coding inconsistent, which raises :class:`ConfigError`.
     """
-    coding.check_consistent(oracle)
-    num = numbering if numbering is not None else canonical_numbering(oracle)
-    values: dict[int, object] = {}
+    num = canonical_numbering(oracle)
+    seen: dict[int, tuple[Word, object]] = {}
     for word, letter in coding.pairs:
-        values[num.to_index(word)] = letter
+        prev_word, prev_letter = seen.setdefault(num.to_index(word), (word, letter))
+        if prev_letter != letter:
+            raise ConfigError(
+                f"inconsistent coding: {word!r} and {prev_word!r} spell one "
+                f"element but carry letters {letter!r} and {prev_letter!r}"
+            )
+    values = {v: letter for v, (_, letter) in seen.items()}
     return PatternPatch(tuple(values), values)
 
 
@@ -188,6 +177,17 @@ def star_walk(graph: CayleyGraph, patch: PatternPatch, g: int, m: int) -> int | 
             return None
         cur = _step(graph, patch, cur, sign)
     return cur
+
+
+def _orbit(graph: CayleyGraph, patch: PatternPatch, g: int, sign: int) -> Iterator[int]:
+    """The vertices ``g * sign``, ``g * 2·sign``, ... of the patch's walk
+    from ``g`` (a patch vertex), while each lies in the patch."""
+    values = patch.values
+    while True:
+        g = _step(graph, patch, g, sign)
+        if g not in values:
+            return
+        yield g
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +243,8 @@ def xj_forbidden(graph: CayleyGraph, J: int, patch: PatternPatch) -> bool:
     arrow encodings of free bounded-jump actions.
 
     The domain must be a ball around the identity vertex and every arrow
-    offset must lie in the radius-``J`` ball.
+    offset must lie in the radius-``J`` ball.  Overlay letters, if the
+    patch carries any, are not read.
     """
     if J < 1:
         raise ConfigError(f"J must be at least 1, got {J}")
@@ -256,13 +257,8 @@ def xj_forbidden(graph: CayleyGraph, J: int, patch: PatternPatch) -> bool:
             if back is not None and back != 0:
                 return True
     for sign in (1, -1):
-        cur: int | None = 0
-        for _ in range(len(patch.domain)):
-            cur = star_walk(graph, patch, cur, sign)
-            if cur is None:
-                break
-            if cur == 0:
-                return True
+        if 0 in itertools.islice(_orbit(graph, patch, 0, sign), len(patch.domain)):
+            return True
     return False
 
 
@@ -278,7 +274,7 @@ def yxj_forbidden(
 ) -> bool | str:
     """Whether an overlaid ball pattern is forbidden, up to an enumeration budget.
 
-    The pattern is forbidden (``True``) when its arrow projection is
+    The pattern is forbidden (``True``) when its arrow layer is
     :func:`xj_forbidden`, or when some arrow walk staying inside the ball
     spells an overlay word matching one of the first ``enum_budget``
     entries of ``forbidden_y`` (an enumerator of finite letter tuples).
@@ -287,7 +283,7 @@ def yxj_forbidden(
     """
     if enum_budget < 0:
         raise ConfigError(f"enum_budget must be at least 0, got {enum_budget}")
-    if xj_forbidden(graph, J, arrow_projection(patch)):
+    if xj_forbidden(graph, J, patch):
         return True
     words = [tuple(w) for w in itertools.islice(iter(forbidden_y), enum_budget)]
     if not words:
@@ -295,15 +291,11 @@ def yxj_forbidden(
     longest = max(len(w) for w in words)
     for g in patch.domain:
         trail: list[object] = []
-        cur = g
-        while len(trail) < longest:
-            nxt = star_walk(graph, patch, cur, 1)
-            if nxt is None or nxt not in patch.values:
-                break
-            trail.append(_letter_of(patch.values[nxt]))
-            cur = nxt
+        walk = _orbit(graph, patch, g, 1)
+        while len(trail) < longest and (v := next(walk, None)) is not None:
+            trail.append(_letter_of(patch.values[v]))
         for w in words:
-            if len(w) <= len(trail) and tuple(trail[: len(w)]) == w:
+            if tuple(trail[: len(w)]) == w:
                 return True
     return FALSE_SO_FAR
 
@@ -358,19 +350,14 @@ def phi_map(graph: CayleyGraph, patch: PatternPatch) -> Segment:
     if 0 not in patch.values:
         raise ConfigError("patch must contain the identity vertex")
     center = _letter_of(patch.values[0])
-    sides: dict[int, list] = {1: [], -1: []}
-    for sign, out in sides.items():
-        cur = 0
-        while True:
-            nxt = star_walk(graph, patch, cur, sign)
-            if nxt is None or nxt not in patch.values:
-                break
-            out.append(_letter_of(patch.values[nxt]))
-            cur = nxt
-            if len(out) > len(patch.domain):
-                raise InvariantError(
-                    "arrow walk revisits a vertex; the patch encodes no free action"
-                )
+    sides: dict[int, list] = {}
+    for sign in (1, -1):
+        walk = itertools.islice(_orbit(graph, patch, 0, sign), len(patch.domain) + 1)
+        sides[sign] = [_letter_of(patch.values[v]) for v in walk]
+        if len(sides[sign]) > len(patch.domain):
+            raise InvariantError(
+                "arrow walk revisits a vertex; the patch encodes no free action"
+            )
     left = sides[-1]
     return Segment(-len(left), (*reversed(left), center, *sides[1]))
 
@@ -496,28 +483,17 @@ def pattern_patch_to_json(graph: CayleyGraph, patch: PatternPatch) -> str:
     doc: dict = {
         "domain": [word_to_str(num.to_word(v), names) for v in patch.domain]
     }
-    a_layer: list = []
-    b_layer: list = []
-    kinds = set()
-    for v in patch.domain:
-        value = patch.values[v]
-        if isinstance(value, ArrowLetter):
-            kinds.add("arrow")
-            b_layer.append([word_to_str(value.l, names), word_to_str(value.r, names)])
-        elif isinstance(value, tuple) and len(value) == 2 and isinstance(value[1], ArrowLetter):
-            kinds.add("pair")
-            a_layer.append(value[0])
-            arrow = value[1]
-            b_layer.append([word_to_str(arrow.l, names), word_to_str(arrow.r, names)])
-        else:
-            kinds.add("letter")
-            a_layer.append(value)
+    values = [patch.values[v] for v in patch.domain]
+    kinds = sorted({_kind(value) for value in values})
     if len(kinds) > 1:
-        raise InvariantError(f"patch mixes value kinds {sorted(kinds)}")
-    if a_layer:
-        doc["A"] = a_layer
-    if b_layer:
-        doc["B"] = b_layer
+        raise InvariantError(f"patch mixes value kinds {kinds}")
+    if kinds == ["pair"]:
+        doc["A"] = [letter for letter, _ in values]
+        values = [arrow for _, arrow in values]
+    if kinds == ["letter"]:
+        doc["A"] = values
+    elif values:
+        doc["B"] = [[word_to_str(a.l, names), word_to_str(a.r, names)] for a in values]
     return json.dumps(doc, indent=2, sort_keys=True)
 
 

@@ -81,9 +81,9 @@ def test_coding_without_normal_key_uses_word_problem():
     oracle = dataclasses.replace(
         builtin_group("Z2"), normal_key=None, fast_index=None, fast_word=None, key_step=None
     )
-    PatternCoding((((1, -1), "x"), ((), "x"))).check_consistent(oracle)
-    with pytest.raises(ConfigError):
-        PatternCoding((((2, -2), "x"), ((), "y"))).check_consistent(oracle)
+    assert coding_to_pattern(oracle, PatternCoding((((1, -1), "x"), ((), "x")))).domain == (0,)
+    with pytest.raises(ConfigError, match="inconsistent coding"):
+        coding_to_pattern(oracle, PatternCoding((((2, -2), "x"), ((), "y"))))
 
 
 def test_constant_coding():
