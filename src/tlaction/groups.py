@@ -194,13 +194,23 @@ class GroupOracle:
 # ---------------------------------------------------------------------------
 
 
+def _not_a_letter(lt: int) -> ConfigError:
+    return ConfigError(f"letter {lt} is not in the group's alphabet")
+
+
 def _zd_key(d: int) -> Callable[[Word], Hashable]:
-    # counts letters in place: the fold of _zd_step, without a tuple per letter
+    # counts letters in place: the fold of _zd_step, without a tuple per
+    # letter; slot 0 counts the letter 0, which no group has
     def key(word: Word) -> tuple[int, ...]:
-        coords = [0] * d
-        for lt in word:
-            coords[abs(lt) - 1] += 1 if lt > 0 else -1
-        return tuple(coords)
+        coords = [0] * (d + 1)
+        try:
+            for lt in word:
+                coords[abs(lt)] += 1 if lt > 0 else -1
+        except IndexError:
+            raise _not_a_letter(lt) from None
+        if coords[0]:
+            raise _not_a_letter(0)
+        return tuple(coords[1:])
 
     return key
 
@@ -224,27 +234,34 @@ def _free_product_key(orders: tuple[int, ...]) -> Callable[[Word], Word]:
     has infinite order; otherwise it pops its generator's trailing block
     (at most n/2 letters) and pushes the block of the summed exponent.
     """
-    finite: dict[int, int] = {}  # letter -> order of its generator
-    for i, n in enumerate(orders):
-        if n:
-            finite[i + 1] = finite[-i - 1] = n
+    # the order of generator |lt| - 1, read at slot |lt|; slot 0 is the
+    # letter 0, which no group has (a dict keyed by letters would be
+    # slower: hash(-1) == hash(-2))
+    order = (None, *orders)
 
     def key(word: Word) -> Word:
         out: list[int] = []
         for lt in word:
             if out and out[-1] == -lt:
                 out.pop()
-            elif lt not in finite:
+                continue
+            g = abs(lt)
+            try:
+                n = order[g]
+            except IndexError:
+                raise _not_a_letter(lt) from None
+            if n == 0:
                 out.append(lt)
+            elif n is None:
+                raise _not_a_letter(lt)
             else:
                 # a block has one sign and -lt cancelled above, so lt's
                 # generator ends the stack only in a run of lt itself
-                n, run = finite[lt], 1
+                run = 1
                 while out and out[-1] == lt:
                     out.pop()
                     run += 1
                 e = (run if lt > 0 else -run) % n
-                g = abs(lt)
                 out.extend((g,) * e if 2 * e <= n else (-g,) * (n - e))
         return tuple(out)
 
@@ -261,6 +278,8 @@ def _bs12_step(key: tuple[int, int, int], lt: int) -> tuple[int, int, int]:
     """
     p, s, n = key
     if lt != 1 and lt != -1:
+        if lt != 2 and lt != -2:
+            raise _not_a_letter(lt)
         return (p, s, n + (1 if lt > 0 else -1))
     # x + lt*2^n = (p + lt*2^(n+s)) / 2^s
     shift = n + s
@@ -337,8 +356,6 @@ class _PairLanguageIndex:
                 if x == lt:
                     break
                 idx += remaining[x]
-            else:
-                raise ConfigError(f"letter {lt} impossible after {w[:i]!r}")
             choices = self.allowed_after[lt]
         return idx
 
@@ -370,7 +387,7 @@ def _z_index(word: Word) -> int:
     """Shortlex index in Z: a^k is 2k - 1 and a^-k is 2k."""
     up, down = word.count(1), word.count(-1)
     if up + down != len(word):
-        raise ConfigError(f"word {word!r} has a letter other than a, a^-1")
+        raise _not_a_letter(next(lt for lt in word if lt != 1 and lt != -1))
     x = up - down
     return 2 * x - 1 if x > 0 else -2 * x
 

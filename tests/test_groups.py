@@ -145,7 +145,7 @@ def test_free_product_key_is_the_rewriting_oracles_word(rng):
         for lt in (1, -1, 2, -2):
             w = (lt,) * 401 + (-lt,) * 200
             assert key(w) == reduce_word(w), (name, lt)
-        with pytest.raises(ConfigError, match="letter 3 impossible"):
+        with pytest.raises(ConfigError, match="letter 3 is not in"):
             builtin_group(name).fast_index((1, 3))
 
 
@@ -378,6 +378,19 @@ def test_z_closed_form_matches_enumeration():
         oracle.fast_index((1, 2))
     with pytest.raises(ValueError):
         oracle.fast_word(-1)
+
+
+@pytest.mark.parametrize("name", [*BUILTINS, "C5"])
+def test_letter_outside_the_alphabet_is_refused(name):
+    # each key's per-letter step refuses the letter, wherever it stands
+    group = cyclic_group(5) if name == "C5" else builtin_group(name)
+    num = canonical_numbering(group)
+    g = group.generator_count
+    for lt in (0, g + 1, -(g + 1)):
+        for w in ((lt,), (1, lt), (lt, -1), (1, -1, lt)):
+            for call in (num.to_index, group.wp, group.normal_key):
+                with pytest.raises(ConfigError, match=f"letter {lt} is not in"):
+                    call(w)
 
 
 @pytest.mark.parametrize("name", ["Z", "Z2", "BS12", "FreeF2"])

@@ -233,6 +233,9 @@ def test_xj_requires_offsets_in_ball(z2):
         xj_forbidden(graph, 3, patch)
     with pytest.raises(ConfigError):
         xj_forbidden(graph, 0, const_arrow_patch(ball(graph, 0, 1)))
+    for offset in ((0,), (3,), (1, -3)):
+        with pytest.raises(ConfigError, match="is not in the group's alphabet"):
+            xj_forbidden(graph, 3, const_arrow_patch(ball(graph, 0, 1), r=offset))
 
 
 # -- overlay rules ----------------------------------------------------------------
