@@ -367,19 +367,15 @@ class EndsDecider:
         return isinstance(self.find_finite_component(deleted), Certified)
 
 
-def witness_pair(
-    graph, path: ThreePath, image: frozenset[int] | None = None
-) -> tuple[int, int] | None:
+def witness_pair(graph, path: ThreePath, image: frozenset[int]) -> tuple[int, int] | None:
     """Canonical unvisited witnesses near the path's endpoints, or None.
 
     Start-side candidates are the unvisited vertices within distance 3 of
     the first path vertex, end-side likewise for the last vertex, both in
     sorted order; the returned pair is the first (start, end) combination
     with distinct members, scanning start candidates in the outer loop.
-    ``image`` is the path's image when the caller has it.
+    ``image`` is the path's image.
     """
-    if image is None:
-        image = path.image
     start_cands = sorted(ball(graph, path.first, 3) - image)
     end_cands = sorted(ball(graph, path.last, 3) - image)
     for ws in start_cands:

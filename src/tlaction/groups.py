@@ -555,7 +555,7 @@ def group_from_config(config: dict | str) -> GroupOracle:
             f"config names {len(names)}"
         )
     ends = config.get("declared_ends", base.declared_ends)
-    if ends not in (1, 2, "many"):
+    if ends != "many" and (type(ends) is not int or ends not in (1, 2)):
         raise ConfigError(f"declared_ends must be 1, 2 or 'many', got {ends!r}")
     cert = base.ends_certificate
     if "certificate" in config:

@@ -419,7 +419,7 @@ def test_certification_counts_repeat(group, last, local, full):
 
 def test_witnesses(z):
     p = ThreePath(0, (z_index(z, 0), z_index(z, 1)))
-    pair = witness_pair(z, p)
+    pair = witness_pair(z, p, p.image)
     assert pair is not None and pair[0] != pair[1]
     assert not set(pair) & p.image
 

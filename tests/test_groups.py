@@ -481,6 +481,12 @@ def test_group_from_config_errors():
         group_from_config({"strategy": "zd", "declared_ends": 7})
 
 
+@pytest.mark.parametrize("ends", [True, 1.0, 2.0, "1", 0, None])
+def test_group_from_config_refuses_ends_other_than_1_2_many(ends):
+    with pytest.raises(ConfigError, match="declared_ends must be"):
+        group_from_config({"strategy": "zd", "declared_ends": ends})
+
+
 @pytest.mark.parametrize("strategy", ["z", "free", "z2_star_z3", "z2_star_z", "bs12"])
 def test_group_from_config_refuses_d_outside_zd(strategy):
     with pytest.raises(ConfigError, match="'d' applies only to the 'zd' strategy"):
