@@ -290,12 +290,10 @@ def yxj_forbidden(
         return FALSE_SO_FAR
     longest = max(len(w) for w in words)
     for g in patch.domain:
-        trail: list[object] = []
-        walk = _orbit(graph, patch, g, 1)
-        while len(trail) < longest and (v := next(walk, None)) is not None:
-            trail.append(_letter_of(patch.values[v]))
+        walk = itertools.islice(_orbit(graph, patch, g, 1), longest)
+        trail = tuple([_letter_of(patch.values[v]) for v in walk])
         for w in words:
-            if tuple(trail[: len(w)]) == w:
+            if trail[: len(w)] == w:
                 return True
     return FALSE_SO_FAR
 
