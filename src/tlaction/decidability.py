@@ -3,19 +3,32 @@
 Removing a finite vertex set V from an infinite connected locally finite
 graph leaves finitely many components, of which some may be finite.
 :class:`EndsDecider` answers "does the complement of V have no finite
-component?" for a graph with a declared end count, one or two.  Each
-query dovetails two searches:
+component?" for a graph with a declared end count, one or two, by one
+search, the joiner.  It grows breadth-first regions inside the complement
+from ∂V, the complement vertices adjacent to V, one layer per step, and
+merges two regions into one class when they meet.  It halts in one of two
+ways:
 
-- a growing-ball search (the finder) that halts exactly when a finite
-  component exists, producing it as a witness;
-- a connectivity search (the joiner) that halts once the vertices around
-  V have merged into as many complement-connected classes as the graph
-  has ends (in two-ended mode V always contains a declared separator
-  whose removal leaves the two infinite sides).
+- the classes have merged into as many as the graph has ends (in
+  two-ended mode V always contains a declared separator whose removal
+  leaves the two infinite sides): V is certified, and the query returns
+  a :class:`Certified`, the certificate of V; only the decider makes them;
+- after a full layer, a class put no vertex into the next layer: that
+  class is a finite component, and the query returns it, as its sorted
+  vertices, as the witness (the class with the least root when several
+  close in the same layer).
 
-The verdict is the finder's: the joiner only decides when a query with
-no finite component stops.  A query that finds none returns a
-:class:`Certified`, the certificate of V; only the decider makes them.
+Why this is exact.  The graph is connected, so every complement component
+contains a vertex of ∂V; each class lies inside one component, and each
+component is a union of classes.  A class that put no vertex into the next
+layer has reached every complement neighbour of its vertices, so it is
+closed under adjacency; it is connected, so it is a whole component, and a
+finite one.  A finite component C closes within |C| layers.  The infinite
+components number at most the ends and, since V contains the separator in
+two-ended mode, at least as many, and no two of them ever share a class.
+So with a finite component the classes stay above the target, and without
+one the regions of each infinite component meet within finitely many
+layers and the target is met.
 
 A query names V as ``base.image ∪ deleted``, where ``base`` is a
 :class:`Certified` this decider returned (or :data:`NOTHING`, the empty
@@ -24,7 +37,7 @@ the added vertices R = V ∖ S, where S = ``base.image``:
 
 - split R into its adjacency components Rᵢ, and let Bᵢ = N(Rᵢ) ∖ V, the
   free neighbours of each cluster;
-- run one layer of the connectivity search seeded from ⋃Bᵢ;
+- run one layer of the joiner seeded from ⋃Bᵢ;
 - if each Bᵢ lies in one class, V is certified.
 
 Why this is sound: the complement of S has no finite component, since S
@@ -36,23 +49,22 @@ and connected, and all its outside neighbours lie in S (a cluster's
 neighbours in R lie in the cluster), so it is a finite component of the
 complement of S, a contradiction.  The rule is also complete on
 one-ended graphs, but it may need many layers; one layer is tried, and if
-it does not certify, the same round goes on with the full joiner seeded
-from the whole boundary ∂V in sorted order, so the fallback adds no
-round.  Two-ended mode uses the full joiner only.
+it does not certify, the full joiner runs from the whole boundary ∂V in
+sorted order.  Two-ended mode uses the full joiner only.
 
-∂V, the complement vertices adjacent to V, is the full joiner's seed.  A
-certificate carries ∂S, so the boundary of V is (∂S ∖ V) ∪ (N(R) ∖ V)
-and a query scans only R.  It carries the least vertex outside S too,
-where the finder starts its scan for the least vertex outside V.  Nothing
-is cached between queries: the certificates belong to the caller, and
-the decider keeps only counts of its certifications.
+∂V is the full joiner's seed.  A certificate carries ∂S, so the boundary
+of V is (∂S ∖ V) ∪ (N(R) ∖ V) and a query scans only R.  Nothing is
+cached between queries: the certificates belong to the caller, and the
+decider keeps only counts of its certifications.
 
-The connectivity search is only complete under the *declared* end count
-(which is input, not computed); detectably impossible outcomes raise
-:class:`EndsDeclarationError` instead of returning an arbitrary verdict.
-All searches run under an explicit :class:`~tlaction.errors.Fuel` budget
-and raise :class:`~tlaction.errors.FuelExhausted` rather than loop forever
-on invalid declarations.  :func:`witness_pair` supplies the other half of
+The joiner is only complete under the *declared* end count (which is
+input, not computed); detectably impossible outcomes raise
+:class:`EndsDeclarationError` instead of returning an arbitrary verdict:
+fewer than two boundary vertices in two-ended mode, and a layer that
+leaves no vertex at all, which only a finite graph allows.  The joiner runs
+under an explicit :class:`~tlaction.errors.Fuel` budget and raises
+:class:`~tlaction.errors.FuelExhausted` rather than loop forever on invalid
+declarations.  :func:`witness_pair` supplies the other half of
 bi-extensibility: unvisited vertices near both ends of a path.
 """
 
@@ -66,49 +78,6 @@ from .graph import ball, components_of
 from .paths import ThreePath
 
 
-def _least_outside(deleted, extra: frozenset[int], floor: int) -> int:
-    """The least vertex outside deleted ∪ extra, scanning up from ``floor``;
-    every vertex below ``floor`` must lie in ``deleted``."""
-    v = floor
-    while v in deleted or v in extra:
-        v += 1
-    return v
-
-
-def _finite_component_steps(
-    graph, deleted, fuel: Fuel, extra: frozenset[int] = frozenset(), floor: int = 0
-) -> Iterator[tuple | None]:
-    """Generator yielding None per round; yields the witness component when found.
-
-    The deleted set V is ``deleted ∪ extra``.  Round n grows the ball B(n)
-    around the least vertex outside V by one layer, and the witness is the
-    first component c of B(n) ∖ V, in order of least vertex, with no
-    neighbour outside V ∪ c: c is closed under adjacency in the full graph,
-    hence a finite component of the complement.  Since c ⊆ B(n) puts every
-    neighbour of c in B(n+1), c is closed exactly when it is also a
-    component of B(n+1) ∖ V.
-    """
-    v0 = _least_outside(deleted, extra, floor)
-    seen = {v0}
-    inner = {v0}
-    layer = [v0]
-    while True:
-        nxt: list[int] = []
-        for v in layer:
-            for u in graph.neighbors(v):
-                if u not in seen:
-                    seen.add(u)
-                    nxt.append(u)
-        layer = nxt
-        inner.update(u for u in nxt if u not in deleted and u not in extra)
-        fuel.tick(len(inner) + 1)
-        closed = (
-            c for c in components_of(graph, inner)
-            if all(u in inner or u in deleted or u in extra for x in c for u in graph.neighbors(x))
-        )
-        yield next(closed, None)
-
-
 def _boundary_vertices(graph, deleted: frozenset[int]) -> list[int]:
     """∂V by a full scan: complement vertices adjacent to the deleted set,
     sorted.  The reference that the carried boundaries are tested against."""
@@ -118,6 +87,15 @@ def _boundary_vertices(graph, deleted: frozenset[int]) -> list[int]:
             if u not in deleted:
                 out.add(u)
     return sorted(out)
+
+
+def _root(parent: dict, x: int) -> int:
+    """The root of x's class in the union-find forest ``parent``, halving
+    the path on the way."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
 
 
 def _join_layer(
@@ -165,16 +143,19 @@ def _join_layer(
 
 def _connectivity_steps(
     graph, v0: list[int], deleted, extra: frozenset[int], target_classes: int, fuel: Fuel
-) -> Iterator[str | None]:
+) -> Iterator[tuple[int, ...] | str | None]:
     """The full joiner: yields None per layer until the boundary vertices
     ``v0`` of V = ``deleted ∪ extra`` have merged into exactly
-    ``target_classes`` connectivity classes, then ``"full"``.
+    ``target_classes`` connectivity classes, then ``"full"``, or until a
+    layer leaves a class closed, then that finite component.
 
     Classes merge when breadth-first regions grown from the boundary
     vertices inside the complement meet.  The count starts above the
     target and drops by one per merge, so it meets the target before it
-    could fall below it; fewer boundary vertices than two in two-ended
-    mode, and a complement exhausted before the target is met, are
+    could fall below it.  After a full layer, a class none of whose
+    vertices entered the next layer is closed; the one with the least root
+    is yielded as its sorted vertices.  Fewer boundary vertices than two
+    in two-ended mode, and a layer that leaves no vertex at all, are
     impossible for the declared end count.
     """
     classes = len(v0)
@@ -192,7 +173,7 @@ def _connectivity_steps(
     parent = {x: x for x in v0}
     color = dict(parent)
     layer = v0
-    while layer:
+    while True:
         nxt: list[int] = []
         classes -= _join_layer(
             graph, layer, parent, color, deleted, extra, fuel, nxt, classes - target_classes
@@ -200,14 +181,20 @@ def _connectivity_steps(
         if classes == target_classes:
             yield "full"
             return
+        if not nxt:
+            # Every class closed at once: the complement is finite, so the
+            # graph behind the oracle is not infinite as required.
+            raise EndsDeclarationError(
+                "complement exploration exhausted a finite graph; oracle does not "
+                "present an infinite connected graph"
+            )
+        live = {_root(parent, color[y]) for y in nxt}
+        if len(live) < classes:
+            closed = min(x for x in parent if parent[x] == x and x not in live)
+            yield tuple(sorted(y for y, c in color.items() if _root(parent, c) == closed))
+            return
         layer = nxt
         yield None
-    # The complement region was exhausted without reaching the target: the
-    # graph behind the oracle is not infinite as required.
-    raise EndsDeclarationError(
-        "complement exploration exhausted a finite graph; oracle does not "
-        "present an infinite connected graph"
-    )
 
 
 def _local_certificate(graph, image, extra: frozenset[int], fuel: Fuel) -> bool:
@@ -226,47 +213,7 @@ def _local_certificate(graph, image, extra: frozenset[int], fuel: Fuel) -> bool:
     parent = {x: x for x in seeds}
     color = dict(parent)
     _join_layer(graph, seeds, parent, color, image, extra, fuel, [], len(seeds))
-
-    def root(x: int) -> int:
-        while parent[x] != x:
-            x = parent[x]
-        return x
-
-    return all(len({root(b) for b in side}) <= 1 for side in sides)
-
-
-def _one_ended_steps(
-    graph, image, extra: frozenset[int], boundary: frozenset[int], fuel: Fuel
-) -> Iterator[str | None]:
-    """The one-ended joiner: ``"local"`` at once when the local certificate
-    holds, otherwise the full joiner from the sorted boundary, whose first
-    layer runs in the same round."""
-    if _local_certificate(graph, image, extra, fuel):
-        yield "local"
-        return
-    yield from _connectivity_steps(graph, sorted(boundary), image, extra, 1, fuel)
-
-
-def _dovetail_query(
-    finder: Iterator[tuple | None], joiner: Iterator[str | None]
-) -> tuple[tuple[int, ...] | None, str | None]:
-    """Fair 1:1 interleaving of the finite-component and connectivity searches.
-
-    Returns (witness, None) when the finder halts with a finite-component
-    witness, or (None, route) when the joiner halts, certifying that there
-    is none by the named route.  Both halting in the same round is
-    impossible for a correct declaration and raises EndsDeclarationError.
-    """
-    while True:
-        witness = next(finder)
-        route = next(joiner)
-        if witness is not None and route is not None:
-            raise EndsDeclarationError(
-                "both the finite-component search and the connectivity search "
-                "halted; the declared end count cannot be correct"
-            )
-        if witness is not None or route is not None:
-            return witness, route
+    return all(len({_root(parent, b) for b in side}) <= 1 for side in sides)
 
 
 @dataclass(frozen=True)
@@ -276,19 +223,11 @@ class Certified:
 
     ``image`` is the set V the queries named, without the separator;
     ``boundary`` is ∂V, the complement vertices adjacent to V or to the
-    separator; ``floor`` is the least vertex outside ``image``, found on
-    construction by scanning up from the given value.
+    separator, which seeds the joiner of a query made on top of it.
     """
 
     image: frozenset[int]
     boundary: frozenset[int]
-    floor: int = 0
-
-    def __post_init__(self) -> None:
-        floor = self.floor
-        while floor in self.image:
-            floor += 1
-        object.__setattr__(self, "floor", floor)
 
 
 NOTHING = Certified(frozenset(), frozenset())
@@ -347,21 +286,18 @@ class EndsDecider:
         deleted = frozenset(deleted)
         extra = self.augmented(deleted)
         boundary = self._boundary(extra, base)
-        finder = _finite_component_steps(self.graph, base.image, self.fuel, extra, base.floor)
-        if self.mode == "two":
-            joiner = _connectivity_steps(
-                self.graph, sorted(boundary), base.image, extra, 2, self.fuel
-            )
-        else:
-            joiner = _one_ended_steps(self.graph, base.image, extra, boundary, self.fuel)
-        witness, route = _dovetail_query(finder, joiner)
-        if route is None:
-            return witness
-        if route == "local":
+        if self.mode == "one" and _local_certificate(self.graph, base.image, extra, self.fuel):
             self.local += 1
         else:
+            target = 1 if self.mode == "one" else 2
+            joiner = _connectivity_steps(
+                self.graph, sorted(boundary), base.image, extra, target, self.fuel
+            )
+            found = next(step for step in joiner if step is not None)
+            if isinstance(found, tuple):
+                return found
             self.full += 1
-        return Certified(base.image | deleted, boundary, base.floor)
+        return Certified(base.image | deleted, boundary)
 
     def no_finite_component(self, deleted: Iterable[int]) -> bool:
         return isinstance(self.find_finite_component(deleted), Certified)

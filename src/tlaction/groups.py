@@ -695,21 +695,18 @@ class Numbering:
 
         Total for valid oracles: the element's canonical representative is
         no longer than ``word``, so the enumeration is grown to that level
-        and then searched.
+        and then searched.  A normal key reads the word first, so a word it
+        refuses leaves the enumeration as it was.
         """
         if self.oracle.fast_index is not None:
             return self.oracle.fast_index(word)
-        self._grown_to_length(len(word))
         if self._by_key is not None:
             key = self.oracle.normal_key(word)  # type: ignore[misc]
+            self._grown_to_length(len(word))
             idx = self._by_key.get(key)
-            if idx is None:
-                raise ConfigError(
-                    "word problem oracle is inconsistent: element missing "
-                    "from its own shortlex ball"
-                )
-            return idx
-        idx = self._wp_find(islice(self._words, self._level_start[len(word) + 1]), word)
+        else:
+            self._grown_to_length(len(word))
+            idx = self._wp_find(islice(self._words, self._level_start[len(word) + 1]), word)
         if idx is None:
             raise ConfigError(
                 "word problem oracle is inconsistent: element missing from its "

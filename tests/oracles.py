@@ -356,54 +356,32 @@ def random_connected_graph(rng: random.Random, n: int) -> SmallGraph:
 
 
 def grid_no_finite_component(deleted, dim: int) -> bool:
-    """Ground-truth 'no finite component' verdict for Z (dim=1) / Z^2 (dim=2).
+    """Ground-truth 'no finite component' verdict for Z^dim, the deleted
+    points given as coordinate tuples (or as ints when dim = 1).
 
-    Works on an integer-coordinate window of radius
-    R = max|coordinate of deleted| + |deleted| + 2: any finite component of
-    the complement must lie within distance |deleted| of the deleted set
-    (a larger component could not be enclosed by |deleted| many vertices in
-    these grids), hence inside the window; complement components touching
-    the window border are infinite.
+    Works on the bounding box of the deleted points grown by one layer.  A
+    point outside the bounding box leaves along a coordinate ray that meets
+    no deleted point, so it lies in an infinite component, and so does every
+    free point that a walk inside the window links to the outer layer; a
+    walk out of the window crosses that layer.
     """
-    deleted = set(deleted)
-    if not deleted:
+    pts = {p if isinstance(p, tuple) else (p,) for p in deleted}
+    if not pts:
         return True
-    if dim == 1:
-        pts = {(x,) for x in deleted} if all(isinstance(x, int) for x in deleted) else set(deleted)
-    else:
-        pts = set(deleted)
-    maxc = max(max(abs(c) for c in p) for p in pts)
-    R = maxc + len(pts) + 2
-
-    def nbrs(p):
+    lo = [min(p[i] for p in pts) - 1 for i in range(dim)]
+    hi = [max(p[i] for p in pts) + 1 for i in range(dim)]
+    free = set(product(*(range(a, b + 1) for a, b in zip(lo, hi)))) - pts
+    stack = [p for p in free if any(c in (a, b) for c, a, b in zip(p, lo, hi))]
+    free.difference_update(stack)
+    while stack:
+        p = stack.pop()
         for i in range(dim):
             for s in (-1, 1):
-                q = list(p)
-                q[i] += s
-                yield tuple(q)
-
-    window = set(product(range(-R, R + 1), repeat=dim))
-    free = window - pts
-    seen = set()
-    for start in free:
-        if start in seen:
-            continue
-        comp = {start}
-        stack = [start]
-        seen.add(start)
-        touches_border = max(abs(c) for c in start) == R
-        while stack:
-            x = stack.pop()
-            for y in nbrs(x):
-                if y in free and y not in comp:
-                    comp.add(y)
-                    seen.add(y)
-                    stack.append(y)
-                    if max(abs(c) for c in y) == R:
-                        touches_border = True
-        if not touches_border:
-            return False
-    return True
+                q = p[:i] + (p[i] + s,) + p[i + 1 :]
+                if q in free:
+                    free.discard(q)
+                    stack.append(q)
+    return not free
 
 
 def z2_ball_count(r: int) -> int:
@@ -412,58 +390,68 @@ def z2_ball_count(r: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# the two-ball finite-component finder (reference for the growing ball)
+# the comb: a two-ended graph that is not a Cayley graph
 # ---------------------------------------------------------------------------
 
 
-def _ball_by_distance(graph, center, radius):
-    dist = {center: 0}
-    queue = [center]
-    for x in queue:
-        if dist[x] < radius:
-            for y in graph.neighbors(x):
-                if y not in dist:
-                    dist[y] = dist[x] + 1
-                    queue.append(y)
-    return set(dist)
+class Comb:
+    """ℤ with a whisker of ``length`` vertices hanging from each integer.
 
+    The point (x, 0) is on the spine and (x, k), 1 ≤ k ≤ ``length``, on x's
+    whisker.  Vertices are numbered lazily in breadth-first order from
+    (0, 0), each point's neighbours in sorted order.  Removing the spine
+    vertex 0 and its whisker, :attr:`separator`, leaves the two infinite
+    sides.
+    """
 
-def _components_by_least(graph, vertices):
-    left = set(vertices)
-    comps = []
-    for seed in sorted(vertices):
-        if seed not in left:
-            continue
-        comp, stack = {seed}, [seed]
-        left.discard(seed)
+    def __init__(self, length: int):
+        self.length = length
+        self.points = [(0, 0)]
+        self.index = {(0, 0): 0}
+        self.done = 0  # points[:done] have their neighbours numbered
+        self.separator = frozenset(self._number((0, k)) for k in range(length + 1))
+
+    def _point_neighbours(self, p):
+        x, k = p
+        out = [(x, k - 1)] if k else [(x - 1, 0), (x + 1, 0)]
+        if k < self.length:
+            out.append((x, k + 1))
+        return sorted(out)
+
+    def _number(self, p) -> int:
+        while p not in self.index:
+            self.neighbors(self.done)
+        return self.index[p]
+
+    def neighbors(self, v: int) -> tuple[int, ...]:
+        while self.done <= v:
+            for q in self._point_neighbours(self.points[self.done]):
+                if q not in self.index:
+                    self.index[q] = len(self.points)
+                    self.points.append(q)
+            self.done += 1
+        return tuple(sorted(self.index[q] for q in self._point_neighbours(self.points[v])))
+
+    def distance(self, u: int, v: int) -> int:
+        (x, k), (y, j) = self.points[u], self.points[v]
+        return abs(k - j) if x == y else k + abs(x - y) + j
+
+    def has_finite_component(self, vertices) -> bool:
+        """Whether the complement of a finite vertex set has a finite
+        component: a free point of the box around it that no free walk
+        links to a spine point outside the box."""
+        deleted = {self.points[v] for v in vertices}
+        lo = min(x for x, _ in deleted) - 1
+        hi = max(x for x, _ in deleted) + 1
+        free = {(x, k) for x in range(lo, hi + 1) for k in range(self.length + 1)} - deleted
+        stack = [(lo, 0), (hi, 0)]
+        free -= set(stack)
         while stack:
-            for y in graph.neighbors(stack.pop()):
-                if y in left:
-                    left.discard(y)
-                    comp.add(y)
-                    stack.append(y)
-        comps.append(tuple(sorted(comp)))
-    return comps
-
-
-def two_ball_finder(graph, deleted, rounds: int):
-    """The finite-component finder as it rebuilt two balls every round: the
-    witness or None of each round up to ``rounds``, ending at the first
-    witness.  Round n takes the components of B(n) ∖ V and B(n+1) ∖ V,
-    where B(r) is the ball of radius r around the least vertex outside V,
-    and its witness is the first component of the first, in order of least
-    vertex, that is also one of the second."""
-    v0 = 0
-    while v0 in deleted:
-        v0 += 1
-    out = []
-    for n in range(1, rounds + 1):
-        inner = _ball_by_distance(graph, v0, n) - deleted
-        outer = set(_components_by_least(graph, _ball_by_distance(graph, v0, n + 1) - deleted))
-        out.append(next((c for c in _components_by_least(graph, inner) if c in outer), None))
-        if out[-1] is not None:
-            break
-    return out
+            for q in self._point_neighbours(stack.pop()):
+                if q in free:
+                    free.discard(q)
+                    stack.append(q)
+        return bool(free)
 
 
 # ---------------------------------------------------------------------------

@@ -24,14 +24,12 @@ from tlaction import decidability
 from tlaction.decidability import (
     _boundary_vertices,
     _connectivity_steps,
-    _dovetail_query,
-    _finite_component_steps,
     _local_certificate,
     witness_pair,
 )
 from tlaction.extenders import state_from_path
 
-from oracles import grid_no_finite_component, two_ball_finder
+from oracles import grid_no_finite_component
 from test_goldens import STAGE_DIGESTS, _digest, stage_list
 
 
@@ -76,15 +74,19 @@ def two_ended(graph, fuel):
     return EndsDecider(graph, mode="two", separator=frozenset({0}), fuel=Fuel(fuel))
 
 
-def exhausts_finite_component_search(graph, deleted, fuel):
-    """Whether the finite-component search alone runs out of fuel: it halts
-    only when a finite component exists."""
-    try:
-        for witness in _finite_component_steps(graph, frozenset(deleted), Fuel(fuel)):
-            if witness is not None:
-                return False
-    except FuelExhausted:
-        return True
+def assert_finite_component(graph, deleted, witness):
+    """A witness is disjoint from V, connected, and closed: every neighbour
+    of it lies in V or in the witness."""
+    comp = set(witness)
+    assert comp and not comp & deleted
+    reached, stack = {witness[0]}, [witness[0]]
+    while stack:
+        for u in graph.neighbors(stack.pop()):
+            if u in comp and u not in reached:
+                reached.add(u)
+                stack.append(u)
+    assert reached == comp
+    assert all(u in comp or u in deleted for x in comp for u in graph.neighbors(x))
 
 
 # -- finite-component witnesses -------------------------------------------------
@@ -97,28 +99,23 @@ def test_semidecide_finds_isolated_origin(z2):
 
 def test_semidecide_exhausts_on_two_rays(z):
     assert isinstance(two_ended(z, 4_000).find_finite_component([z_index(z, 0)]), Certified)
-    assert exhausts_finite_component_search(z, [z_index(z, 0)], 4_000)
 
 
 def test_semidecide_exhausts_on_annulus(z2):
     assert isinstance(one_ended(z2, 4_000).find_finite_component(ball(z2, 0, 1)), Certified)
-    assert exhausts_finite_component_search(z2, ball(z2, 0, 1), 4_000)
 
 
-FINDER_ROUNDS = 6
-
-
-def finder_matches_two_balls(graph, points):
-    """The growing-ball finder's witness or None in each round, ending at
-    its first witness, after checking it against the two-ball reference."""
+def finder_matches_grid(graph, points):
+    """The decider's witness for the deleted grid points, or None when it
+    certifies them, after checking the verdict against the grid oracle and
+    the witness as a finite component."""
     deleted = frozenset(grid_indices(graph, sorted(points)))
-    rounds = []
-    for witness in _finite_component_steps(graph, deleted, Fuel(10**9)):
-        rounds.append(witness)
-        if witness is not None or len(rounds) == FINDER_ROUNDS:
-            break
-    assert rounds == two_ball_finder(graph, deleted, FINDER_ROUNDS), points
-    return rounds
+    found = one_ended(graph, 10**7).find_finite_component(deleted)
+    witness = None if isinstance(found, Certified) else found
+    assert (witness is None) == grid_no_finite_component(points, dim=len(next(iter(points)))), points
+    if witness is not None:
+        assert_finite_component(graph, deleted, witness)
+    return witness
 
 
 def grid_neighbours(point):
@@ -126,35 +123,36 @@ def grid_neighbours(point):
 
 
 @pytest.mark.parametrize(
-    "dim,points,witness_round",
+    "dim,points,witness",
     [
-        # the cross around the origin closes it in round 1
-        (2, grid_neighbours((0, 0)), 1),
-        (3, grid_neighbours((0, 0, 0)), 1),
+        # the cross around the origin closes it
+        (2, grid_neighbours((0, 0)), {(0, 0)}),
+        (3, grid_neighbours((0, 0, 0)), {(0, 0, 0)}),
         # a ring around a 2-cell block three and four steps out
-        (2, (grid_neighbours((3, 0)) | grid_neighbours((4, 0))) - {(3, 0), (4, 0)}, 4),
+        (2, (grid_neighbours((3, 0)) | grid_neighbours((4, 0))) - {(3, 0), (4, 0)}, {(3, 0), (4, 0)}),
         # no finite component
         (3, {(0, 0, 1), (1, 0, 0), (0, -1, 0)}, None),
     ],
     ids=["Z2-cross", "Z3-cross", "Z2-ring", "Z3-open"],
 )
-def test_finder_fixed_cases(z2, z3, dim, points, witness_round):
-    rounds = finder_matches_two_balls(z2 if dim == 2 else z3, points)
-    assert (len(rounds) if rounds[-1] is not None else None) == witness_round
+def test_finder_fixed_cases(z2, z3, dim, points, witness):
+    graph = z2 if dim == 2 else z3
+    expected = None if witness is None else tuple(sorted(grid_indices(graph, witness)))
+    assert finder_matches_grid(graph, points) == expected
 
 
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
-def test_finder_matches_two_ball_reference(z2, z3, data):
+def test_finder_matches_grid_oracle(z2, z3, data):
     # the ring around a small cluster, with a gap or not, and a few more
-    # points: witnesses come in several rounds, or never
+    # points: a witness comes back exactly when a finite component exists
     dim = data.draw(st.sampled_from([2, 3]))
     point = st.tuples(*[st.integers(-2, 2)] * dim)
     cluster = data.draw(st.sets(point, min_size=1, max_size=3))
     ring = set().union(*map(grid_neighbours, cluster)) - cluster
     gaps = data.draw(st.sets(st.sampled_from(sorted(ring)), max_size=1))
     extra = data.draw(st.sets(point, max_size=4))
-    finder_matches_two_balls(z2 if dim == 2 else z3, (ring - gaps) | extra)
+    finder_matches_grid(z2 if dim == 2 else z3, (ring - gaps) | extra)
 
 
 # -- one-ended decider ------------------------------------------------------------
@@ -243,19 +241,11 @@ def test_two_ended_with_one_boundary_vertex_is_inconsistent():
 
 
 def test_exhausted_complement_is_inconsistent():
-    # two 9-vertex arcs of a 20-cycle: the connectivity search runs out of
-    # both in 6 rounds, before the growing ball closes one (round 8)
+    # two 9-vertex arcs of a 20-cycle: each arc's two regions merge, and
+    # both arcs close in the same layer, which leaves no vertex at all
     dec = EndsDecider(cycle_patch(20), mode="one", fuel=Fuel(10_000))
     with pytest.raises(EndsDeclarationError, match="exhausted a finite graph"):
         dec.find_finite_component([0, 10])
-
-
-def test_both_searches_halting_is_inconsistent():
-    # a triangle less a vertex: the edge left is closed, and its two ends
-    # join, in the first round
-    dec = EndsDecider(cycle_patch(3), mode="one", fuel=Fuel(10_000))
-    with pytest.raises(EndsDeclarationError, match="both"):
-        dec.find_finite_component([0])
 
 
 def test_decider_mode_validation(z):
@@ -267,21 +257,19 @@ def test_decider_mode_validation(z):
 
 
 def full_joiner_verdict(graph, dec, v):
-    """The verdict of the dovetail with the full joiner seeded from a full
-    scan of ∂V, on a fresh fuel meter."""
-    fuel = Fuel(10**9)
+    """The first step other than None of the full joiner seeded from a full
+    scan of ∂V, on a fresh fuel meter: a witness, or ``"full"``."""
     target = 2 if dec.mode == "two" else 1
-    finder = _finite_component_steps(graph, v, fuel)
-    joiner = _connectivity_steps(graph, _boundary_vertices(graph, v), v, frozenset(), target, fuel)
-    return _dovetail_query(finder, joiner)[0]
+    joiner = _connectivity_steps(graph, _boundary_vertices(graph, v), v, frozenset(), target, Fuel(10**9))
+    return next(step for step in joiner if step is not None)
 
 
 @pytest.mark.parametrize("group,last", [("Z", 100), ("Z2", 100), ("Z3", 60), ("BS12", 50)])
 def test_carried_boundary_matches_full_scan(monkeypatch, group, last):
     # every query of real stage growth gives the verdict of the full joiner
-    # run on the same V; every certificate it returns, and every one a state
-    # carries, has the full scan's boundary and the least vertex outside its
-    # image as its floor
+    # run on the same V, and every witness is a finite component; every
+    # certificate it returns, and every one a state carries, has the full
+    # scan's boundary
     eng = engine_for(group, Fuel(10**9))
     graph = eng.graph
     certified = []
@@ -290,12 +278,13 @@ def test_carried_boundary_matches_full_scan(monkeypatch, group, last):
     def checked_query(self, deleted, base=decidability.NOTHING):
         found = query(self, deleted, base)
         v = base.image | self.augmented(deleted)
-        witness = None if isinstance(found, Certified) else found
-        assert witness == full_joiner_verdict(graph, self, v)
-        if witness is None:
+        if isinstance(found, Certified):
+            assert full_joiner_verdict(graph, self, v) == "full"
             assert sorted(found.boundary) == _boundary_vertices(graph, v)
-            assert found.floor == min(set(range(len(found.image) + 1)) - found.image)
             certified.append(found)
+        else:
+            assert full_joiner_verdict(graph, self, v) == found
+            assert_finite_component(graph, v, found)
         return found
 
     monkeypatch.setattr(EndsDecider, "find_finite_component", checked_query)
@@ -383,25 +372,22 @@ def test_local_layer_failing_falls_back_to_the_full_joiner(z2):
 
 
 def test_bs12_certifies_through_the_fallback(monkeypatch):
-    # every query falls back to the full joiner, ends in as many dovetail
-    # rounds as before the local certificate, and the stages stay the golden's
-    rounds = []
-    dovetail = decidability._dovetail_query
+    # every query falls back to the full joiner, which certifies in its
+    # second step, and the stages stay the golden's
+    steps = []
+    joiner = decidability._connectivity_steps
 
-    def counted(finder, joiner):
-        def counting():
-            for step in finder:
-                rounds[-1] += 1
-                yield step
+    def counted(*args):
+        steps.append(0)
+        for step in joiner(*args):
+            steps[-1] += 1
+            yield step
 
-        rounds.append(0)
-        return dovetail(counting(), joiner)
-
-    monkeypatch.setattr(decidability, "_dovetail_query", counted)
+    monkeypatch.setattr(decidability, "_connectivity_steps", counted)
     eng = engine_for("BS12", Fuel(10**9))
     assert _digest(stage_list(eng, 50)) == STAGE_DIGESTS["BS12"]
-    assert eng.dec.local == 0 and eng.dec.full == len(rounds)
-    assert set(rounds) == {2}
+    assert eng.dec.local == 0 and eng.dec.full == len(steps)
+    assert set(steps) == {2}
 
 
 @pytest.mark.parametrize("group,last,local,full", [("Z2", 100, 101, 0), ("BS12", 50, 0, 51)])

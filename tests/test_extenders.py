@@ -22,6 +22,8 @@ from tlaction import extenders
 from tlaction.extenders import state_from_path
 from tlaction.paths import check_jumps
 
+from oracles import Comb
+
 
 @pytest.fixture
 def z2_setup():
@@ -198,11 +200,29 @@ def test_validator_rejects_and_leaves_state_unchanged(accepted, defect):
     else:
         target = far
     path, certified = st.path, st.certified
-    before = (certified.image, certified.boundary, certified.floor)
+    before = (certified.image, certified.boundary)
     fuel = eng.fuel.consumed
     assert extenders._validate_candidate(eng.graph, eng.dec, st, left, right, target, None) is None
     assert st.path is path and st.path == path
     assert st.certified is certified
-    assert (certified.image, certified.boundary, certified.floor) == before
+    assert (certified.image, certified.boundary) == before
     if defect != "junction jump":
         assert eng.fuel.consumed == fuel  # rejected before any search
+
+
+@pytest.mark.parametrize("length", [1, 2, 3])
+def test_comb_reaches_stage_400(length):
+    # a two-ended graph that is not a Cayley graph: no stage leaves a
+    # finite complement component, stage 400 visits the vertices 0 to 400
+    # with jumps of at most 3 along the comb, and whiskers of length 2 and
+    # 3 use 3-jumps
+    comb = Comb(length)
+    dec = EndsDecider(comb, "two", comb.separator, Fuel(10**5))
+    st = make_bi_extensible(comb, dec, 0)
+    for i in range(1, 401):
+        st = extend_to_visit(comb, dec, st, i)
+        assert not comb.has_finite_component(st.path.image)
+    assert set(range(401)) <= st.path.image
+    jumps = {comb.distance(u, v) for u, v in zip(st.path.vertices, st.path.vertices[1:])}
+    assert max(jumps) <= 3
+    assert 3 in jumps or length == 1

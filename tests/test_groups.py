@@ -382,7 +382,8 @@ def test_z_closed_form_matches_enumeration():
 
 @pytest.mark.parametrize("name", [*BUILTINS, "C5"])
 def test_letter_outside_the_alphabet_is_refused(name):
-    # each key's per-letter step refuses the letter, wherever it stands
+    # each key's per-letter step refuses the letter, wherever it stands,
+    # before the numbering grows past the identity
     group = cyclic_group(5) if name == "C5" else builtin_group(name)
     num = canonical_numbering(group)
     g = group.generator_count
@@ -391,6 +392,7 @@ def test_letter_outside_the_alphabet_is_refused(name):
             for call in (num.to_index, group.wp, group.normal_key):
                 with pytest.raises(ConfigError, match=f"letter {lt} is not in"):
                     call(w)
+                assert num.known_count() == 1
 
 
 @pytest.mark.parametrize("name", ["Z", "Z2", "BS12", "FreeF2"])
