@@ -15,8 +15,8 @@ ways:
   a :class:`Certified`, the certificate of V; only the decider makes them;
 - after a full layer, a class put no vertex into the next layer: that
   class is a finite component, and the query returns it, as its sorted
-  vertices, as the witness (the class with the least root when several
-  close in the same layer).
+  vertices, as the witness (when several close in the same layer, the one
+  with the least boundary vertex).
 
 Why this is exact.  The graph is connected, so every complement component
 contains a vertex of ∂V; each class lies inside one component, and each
